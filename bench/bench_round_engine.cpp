@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <type_traits>
 
 #include "alloc_guard.hpp"
 #include "bench_util.hpp"
@@ -28,6 +29,7 @@
 #include "common/simd.hpp"
 #include "fault/recovery.hpp"
 #include "obs/stream.hpp"
+#include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "protocols/tree_polling.hpp"
@@ -42,8 +44,20 @@ using rfid::alloc_guard::allocation_count;
 
 using namespace rfid;
 
+/// Stand-in policy for the EHPP rows: each step of an EHPP drain is one
+/// whole circle (circle command, batched membership split, HPP rounds over
+/// the joined subset), so its allocation columns are sampled per circle.
+struct EhppCircles final {
+  explicit EhppCircles(const protocols::Ehpp::Config& ehpp)
+      : config(ehpp),
+        subset_target(protocols::Ehpp(ehpp).effective_subset_size()) {}
+  protocols::Ehpp::Config config;
+  std::size_t subset_target;
+};
+
 /// One full drain of a population through the engine, driven round by
-/// round so allocations can be sampled at round granularity.
+/// round (circle by circle for EHPP) so allocations can be sampled at
+/// that granularity.
 struct DrainResult final {
   std::uint64_t rounds = 0;
   std::uint64_t first_round_allocs = 0;
@@ -76,7 +90,12 @@ DrainResult drain_once(const PolicyConfig& policy_config, std::size_t n,
   const auto start = std::chrono::steady_clock::now();
   while (!active.empty()) {
     const std::uint64_t before = allocation_count();
-    engine.run_round(active, policy);
+    if constexpr (std::is_same_v<Policy, EhppCircles>) {
+      (void)protocols::run_ehpp_circle(session, engine, active, policy.config,
+                                       policy.subset_target);
+    } else {
+      engine.run_round(active, policy);
+    }
     // The live-telemetry hook the simserved daemon runs every round: a
     // Metrics copy into the aggregator under its mutex. The `+stream` rows
     // gate that this stays allocation-free (publish() is the serving
@@ -93,6 +112,9 @@ DrainResult drain_once(const PolicyConfig& policy_config, std::size_t n,
   }
   const auto end = std::chrono::steady_clock::now();
   result.wall_s = std::chrono::duration<double>(end - start).count();
+  // EHPP steps were circles; rounds/sec still counts engine rounds.
+  if constexpr (std::is_same_v<Policy, EhppCircles>)
+    result.rounds = session.metrics().rounds;
   return result;
 }
 
@@ -238,6 +260,14 @@ int main() {
                  protocols::Tpp::Config{}, n, reps, master_seed,
                  /*keep_records=*/false, best),
              /*gate=*/true);
+  // EHPP drains are dominated by the per-circle membership split
+  // (simd::split_circle), which allocates the joined subset once per
+  // circle — reported, not gated.
+  engine_row("EHPP", best,
+             measure_engine<EhppCircles>(protocols::Ehpp::Config{}, n, reps,
+                                         master_seed,
+                                         /*keep_records=*/false, best),
+             /*gate=*/false);
   // Forced-scalar reference rows: same drains on the scalar kernels, so the
   // per-width speedup is one table away. Only emitted when this build has a
   // vector backend to compare against.
@@ -252,6 +282,12 @@ int main() {
                    protocols::Tpp::Config{}, n, reps, master_seed,
                    /*keep_records=*/false, simd::Backend::kScalar),
                /*gate=*/true);
+    engine_row("EHPP/scalar", simd::Backend::kScalar,
+               measure_engine<EhppCircles>(protocols::Ehpp::Config{}, n, reps,
+                                           master_seed,
+                                           /*keep_records=*/false,
+                                           simd::Backend::kScalar),
+               /*gate=*/false);
   }
   // The aggregator hook rows: identical drains with the simserved
   // per-round telemetry fold attached. Gated like the bare rows — the

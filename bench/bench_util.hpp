@@ -11,10 +11,12 @@
 //                   traced back to the exact run that produced it.
 #pragma once
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,14 +119,23 @@ class RunManifest final {
   std::vector<Entry> entries_;
 };
 
-/// Optional CSV sink keyed by bench name.
+/// Optional CSV sink keyed by bench name. An RFID_CSV_DIR the bench cannot
+/// write into (missing, not a directory, no permission) is a usage error:
+/// one `error:` line on stderr and exit status 2, before any measuring.
 class CsvSink final {
  public:
   explicit CsvSink(const std::string& bench_name) {
     RunManifest::instance().set_bench(bench_name);
     const char* dir = std::getenv("RFID_CSV_DIR");
-    if (dir != nullptr && *dir != '\0')
-      writer_.emplace(std::string(dir) + "/" + bench_name + ".csv");
+    if (dir == nullptr || *dir == '\0') return;
+    const std::string path = std::string(dir) + "/" + bench_name + ".csv";
+    try {
+      writer_.emplace(path);
+    } catch (const std::runtime_error&) {
+      std::cerr << "error: RFID_CSV_DIR=" << dir << ": cannot open " << path
+                << " for writing\n";
+      std::exit(2);
+    }
   }
 
   void row(const std::vector<std::string>& cells) {

@@ -67,6 +67,47 @@ std::size_t compact_nonsingletons_scalar(const std::uint32_t* counts,
   return write;
 }
 
+/// Write cursors of a circle split in progress: kept elements go back into
+/// the input columns, joiners to the output columns.
+struct SplitCursors final {
+  std::size_t kept = 0;
+  std::size_t joined = 0;
+};
+
+template <bool kMask>
+SplitCursors split_circle_scalar(std::uint64_t seed, std::uint64_t modulus,
+                                 std::uint64_t threshold,
+                                 std::uint64_t* col_tag, std::uint64_t* col_hi,
+                                 std::uint64_t* col_lo, std::size_t start,
+                                 std::size_t n, std::uint64_t* out_tag,
+                                 std::uint64_t* out_hi, std::uint64_t* out_lo,
+                                 SplitCursors at) noexcept {
+  // Branchless two-sided partition: every element is written to both
+  // cursors and only the side it belongs to advances (membership is a
+  // f/F coin flip, so a branch would mispredict constantly). The kept
+  // cursor never passes i, so the in-place write is a self-copy at worst.
+  // Doubles as the tail loop of the vector kernel, hence the explicit
+  // start and cursors.
+  const std::uint64_t mask = modulus == 0 ? 0 : modulus - 1;
+  for (std::size_t i = start; i < n; ++i) {
+    const std::uint64_t tag = col_tag[i];
+    const std::uint64_t hi = col_hi[i];
+    const std::uint64_t lo = col_lo[i];
+    const std::uint64_t hash = tag_hash_words(seed, hi, lo);
+    const std::uint64_t residue = kMask ? hash & mask : hash % modulus;
+    const std::size_t join = residue < threshold ? 1u : 0u;
+    out_tag[at.joined] = tag;
+    out_hi[at.joined] = hi;
+    out_lo[at.joined] = lo;
+    col_tag[at.kept] = tag;
+    col_hi[at.kept] = hi;
+    col_lo[at.kept] = lo;
+    at.joined += join;
+    at.kept += 1u - join;
+  }
+  return at;
+}
+
 #if defined(RFID_SIMD_X86)
 
 // GCC 12's avx512 intrinsic headers expand the no-mask conversion forms
@@ -232,6 +273,61 @@ compact_nonsingletons_avx512(const std::uint32_t* counts,
   }
   return compact_nonsingletons_scalar(counts, slot, col_a, col_b, col_c, i, n,
                                       write);
+}
+
+template <bool kMask>
+__attribute__((target("avx512f,avx512dq"))) std::size_t split_circle_avx512(
+    std::uint64_t seed, std::uint64_t modulus, std::uint64_t threshold,
+    std::uint64_t* col_tag, std::uint64_t* col_hi, std::uint64_t* col_lo,
+    std::size_t n, std::uint64_t* out_tag, std::uint64_t* out_hi,
+    std::uint64_t* out_lo) noexcept {
+  // Eight lanes of H(r, id), one unsigned compare against f, and six
+  // compress stores: joiners to the output columns, the rest back over
+  // the input. As in compact_nonsingletons, kept + popcount(keep) <= i + 8,
+  // so the in-place stores never reach elements a later block still has
+  // to load.
+  const __m512i seeded = _mm512_set1_epi64(
+      static_cast<long long>(mix64(seed ^ 0x2545f4914f6cdd1dULL)));
+  const __m512i golden =
+      _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL));
+  const __m512i mask = _mm512_set1_epi64(
+      static_cast<long long>(modulus == 0 ? 0 : modulus - 1));
+  const __m512i f = _mm512_set1_epi64(static_cast<long long>(threshold));
+  SplitCursors at;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i tag = _mm512_loadu_si512(col_tag + i);
+    const __m512i hi = _mm512_loadu_si512(col_hi + i);
+    const __m512i lo = _mm512_loadu_si512(col_lo + i);
+    __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
+    acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
+    __mmask8 join;
+    if constexpr (kMask) {
+      join = _mm512_cmplt_epu64_mask(_mm512_and_si512(acc, mask), f);
+    } else {
+      // No vector 64-bit divide: reduce the eight hashes one by one.
+      alignas(64) std::uint64_t hash[8];
+      _mm512_store_si512(hash, acc);
+      unsigned bits = 0;
+      for (unsigned lane = 0; lane < 8; ++lane)
+        bits |= (hash[lane] % modulus < threshold ? 1u : 0u) << lane;
+      join = static_cast<__mmask8>(bits);
+    }
+    const __mmask8 keep = static_cast<__mmask8>(~join);
+    _mm512_mask_compressstoreu_epi64(out_tag + at.joined, join, tag);
+    _mm512_mask_compressstoreu_epi64(out_hi + at.joined, join, hi);
+    _mm512_mask_compressstoreu_epi64(out_lo + at.joined, join, lo);
+    _mm512_mask_compressstoreu_epi64(col_tag + at.kept, keep, tag);
+    _mm512_mask_compressstoreu_epi64(col_hi + at.kept, keep, hi);
+    _mm512_mask_compressstoreu_epi64(col_lo + at.kept, keep, lo);
+    const std::size_t joined = static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(join)));
+    at.joined += joined;
+    at.kept += 8 - joined;
+  }
+  return split_circle_scalar<kMask>(seed, modulus, threshold, col_tag, col_hi,
+                                    col_lo, i, n, out_tag, out_hi, out_lo, at)
+      .joined;
 }
 
 __attribute__((target("avx512f,avx512dq"))) std::size_t
@@ -409,6 +505,35 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
   (void)backend;
   return compact_nonsingletons_scalar(counts, slot, col_a, col_b, col_c, 0, n,
                                       0);
+}
+
+std::size_t split_circle(std::uint64_t seed, std::uint64_t modulus,
+                         std::uint64_t threshold, std::uint64_t* col_tag,
+                         std::uint64_t* col_hi, std::uint64_t* col_lo,
+                         std::size_t n, std::uint64_t* out_tag,
+                         std::uint64_t* out_hi, std::uint64_t* out_lo,
+                         Backend backend) {
+  // Like compact_nonsingletons: only AVX-512 has the compress store, every
+  // other backend runs the scalar reference (same split, same order). A
+  // power-of-two (or zero) modulus reduces with a mask; zero maps every
+  // hash to residue 0, as rfid::tag_index_mod does.
+  const bool by_mask = modulus == 0 || std::has_single_bit(modulus);
+#if defined(RFID_SIMD_X86)
+  if (backend == Backend::kAvx512 && best_backend() == Backend::kAvx512) {
+    return by_mask ? split_circle_avx512<true>(seed, modulus, threshold,
+                                               col_tag, col_hi, col_lo, n,
+                                               out_tag, out_hi, out_lo)
+                   : split_circle_avx512<false>(seed, modulus, threshold,
+                                                col_tag, col_hi, col_lo, n,
+                                                out_tag, out_hi, out_lo);
+  }
+#endif
+  (void)backend;
+  const auto split = by_mask ? split_circle_scalar<true>
+                             : split_circle_scalar<false>;
+  return split(seed, modulus, threshold, col_tag, col_hi, col_lo, 0, n,
+               out_tag, out_hi, out_lo, SplitCursors{})
+      .joined;
 }
 
 }  // namespace rfid::simd

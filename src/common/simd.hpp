@@ -15,11 +15,13 @@
 // bit-for-bit independent of the option.
 //
 // Lane→tag determinism rule: out[i] depends ONLY on (seed, id_hi[i],
-// id_lo[i], h) — never on the lane position, the vector width, or a
-// neighbouring element. Every backend evaluates the exact scalar chain
-// rfid::tag_hash_words lane-by-lane, so scalar and SIMD builds (and any
-// future wider backend) produce byte-identical simulation results. The
-// scalar/SIMD cross-check in CI and tests/test_simd.cpp enforce this.
+// id_lo[i], h) — or, for the circle split, whether element i joins
+// depends only on (seed, id_hi[i], id_lo[i], F, f) — never on the lane
+// position, the vector width, or a neighbouring element. Every backend
+// evaluates the exact scalar chain rfid::tag_hash_words lane-by-lane, so
+// scalar and SIMD builds (and any future wider backend) produce
+// byte-identical simulation results. The scalar/SIMD cross-check in CI and
+// tests/test_simd.cpp enforce this.
 #pragma once
 
 #include <cstddef>
@@ -82,5 +84,26 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
                                   std::uint64_t* col_a, std::uint64_t* col_b,
                                   std::uint64_t* col_c, std::size_t n,
                                   Backend backend);
+
+/// EHPP's circle split (paper §III-D): element i joins the circle iff
+/// tag_hash_words(seed, col_hi[i], col_lo[i]) mod `modulus` < `threshold`
+/// (a zero modulus reduces to 0, as rfid::tag_index_mod does). Joiners are
+/// copied, in order, to out_tag/out_hi/out_lo[0..joined); non-joiners are
+/// compacted in place, in order, to col_*[0..n - joined). Returns the
+/// joined count. The out columns need room for n elements and must not
+/// overlap the inputs. For a power-of-two modulus the residue is taken
+/// with `& (modulus - 1)` — exact, and the lanes never leave the vector
+/// unit; any other modulus is reduced with `%` per element. Membership of
+/// element i depends only on (seed, col_hi[i], col_lo[i], modulus,
+/// threshold), so every backend splits identically (AVX-512 hashes eight
+/// lanes and partitions with masked compress stores; the others run the
+/// scalar reference). The tag column is an opaque 64-bit payload, as in
+/// compact_nonsingletons.
+std::size_t split_circle(std::uint64_t seed, std::uint64_t modulus,
+                         std::uint64_t threshold, std::uint64_t* col_tag,
+                         std::uint64_t* col_hi, std::uint64_t* col_lo,
+                         std::size_t n, std::uint64_t* out_tag,
+                         std::uint64_t* out_hi, std::uint64_t* out_lo,
+                         Backend backend);
 
 }  // namespace rfid::simd

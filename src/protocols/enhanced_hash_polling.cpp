@@ -1,10 +1,7 @@
 #include "protocols/enhanced_hash_polling.hpp"
 
-#include <vector>
-
 #include "analysis/ehpp_model.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "fault/recovery.hpp"
 #include "protocols/hash_polling.hpp"
 
@@ -52,28 +49,15 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
   RFID_ENSURES(decoded && decoded->threshold == frame.threshold &&
                decoded->modulus == frame.modulus &&
                decoded->seed == frame.seed);
-  const std::uint64_t circle_seed = decoded->seed;
-  const std::uint64_t modulus = decoded->modulus;
-  const std::uint64_t threshold = decoded->threshold;
 
   // Tag side: each awake tag decides membership from the decoded seed.
-  // Stable partition into `joined` / kept-in-`active`, preserving relative
-  // order on both sides (exactly what std::erase_if + push_back did on the
-  // old AoS layout). One up-front reserve keeps the circle's allocation
-  // count bounded by the SoA's column count.
+  // One batched pass over the SoA columns splits `active` into `joined`
+  // and the kept remainder, both in their original relative order. Every
+  // circle visits all n_rem unread tags, so a drain makes O(n²/n*) visits
+  // — the split, not the rounds, dominates EHPP's host time at scale.
   tags::TagSoA joined;
-  joined.reserve(active.size());
-  const std::size_t n = active.size();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tag_index_mod(circle_seed, active.tag(i)->id(), modulus) < threshold) {
-      joined.push_back_from(active, i);
-    } else {
-      if (kept != i) active.move_element(kept, i);
-      ++kept;
-    }
-  }
-  active.resize_down(kept);
+  active.split_circle(decoded->seed, decoded->modulus, decoded->threshold,
+                      joined, engine.hash_backend());
 
   // Query the subset to exhaustion; unselected tags wait for later
   // circles. An unlucky empty subset just costs the circle command.

@@ -38,7 +38,7 @@ TagPopulation TagPopulation::uniform_random(std::size_t n, Xoshiro256ss& id_rng)
     const TagId id = random_id(id_rng);
     if (seen.insert(id).second) tags.emplace_back(id);
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(std::move(tags), UniqueIds{});
 }
 
 TagPopulation TagPopulation::uniform_random_sharded(std::size_t n,
@@ -112,7 +112,7 @@ TagPopulation TagPopulation::prefix_clustered(std::size_t n,
       id.set_bit(b, prefixes[category].bit(b));
     if (seen.insert(id).second) tags.emplace_back(id);
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(std::move(tags), UniqueIds{});
 }
 
 TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
@@ -125,7 +125,8 @@ TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
       payload.push_back(id_rng.bernoulli(0.5));
     tags.emplace_back(tag.id(), std::move(payload));
   }
-  return TagPopulation(std::move(tags));
+  // Same IDs as this already-validated population.
+  return TagPopulation(std::move(tags), UniqueIds{});
 }
 
 }  // namespace rfid::tags

@@ -79,6 +79,15 @@ class TagPopulation final {
                                                    Xoshiro256ss& id_rng) const;
 
  private:
+  /// Marks a tag vector whose IDs the caller has already proven unique.
+  struct UniqueIds final {};
+
+  /// Takes ownership of `tags` without re-checking uniqueness: for the
+  /// generators that dedup while drawing, and for copies of a validated
+  /// population.
+  TagPopulation(std::vector<Tag> tags, UniqueIds) noexcept
+      : tags_(std::move(tags)) {}
+
   std::vector<Tag> tags_;
 };
 

@@ -1,5 +1,7 @@
 #include "tags/soa.hpp"
 
+#include "common/error.hpp"
+
 namespace rfid::tags {
 
 void TagSoA::reserve(std::size_t n) {
@@ -23,19 +25,6 @@ void TagSoA::push_back(const Tag* tag) {
                    id.words[1]);
   id_lo_.push_back(static_cast<std::uint64_t>(id.words[2]));
   slot_.push_back(0);
-}
-
-void TagSoA::push_back_from(const TagSoA& other, std::size_t i) {
-  tag_.push_back(other.tag_[i]);
-  id_hi_.push_back(other.id_hi_[i]);
-  id_lo_.push_back(other.id_lo_[i]);
-  slot_.push_back(0);
-}
-
-void TagSoA::move_element(std::size_t dst, std::size_t src) noexcept {
-  tag_[dst] = tag_[src];
-  id_hi_[dst] = id_hi_[src];
-  id_lo_[dst] = id_lo_[src];
 }
 
 void TagSoA::resize_down(std::size_t n) noexcept {
@@ -78,6 +67,30 @@ void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
       reinterpret_cast<std::uint64_t*>(tag_.data()), id_hi_.data(),
       id_lo_.data(), size(), backend);
   resize_down(write);
+}
+
+void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
+                          std::uint64_t threshold, TagSoA& joined,
+                          simd::Backend backend) {
+  RFID_EXPECTS(&joined != this);
+  // The kernel writes joiners by index, so the joined identity columns
+  // are sized for the worst case (every element joins) without a
+  // zero-fill, then truncated to the prefix the kernel wrote.
+  const std::size_t n = size();
+  joined.tag_.resize(n);
+  joined.id_hi_.resize(n);
+  joined.id_lo_.resize(n);
+  static_assert(sizeof(const Tag*) == sizeof(std::uint64_t));
+  const std::size_t count = simd::split_circle(
+      seed, modulus, threshold, reinterpret_cast<std::uint64_t*>(tag_.data()),
+      id_hi_.data(), id_lo_.data(), n,
+      reinterpret_cast<std::uint64_t*>(joined.tag_.data()),
+      joined.id_hi_.data(), joined.id_lo_.data(), backend);
+  joined.tag_.resize(count);
+  joined.id_hi_.resize(count);
+  joined.id_lo_.resize(count);
+  joined.slot_.resize(count);
+  resize_down(n - count);
 }
 
 }  // namespace rfid::tags

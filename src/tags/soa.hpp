@@ -20,6 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -39,11 +43,6 @@ class TagSoA final {
   /// rfid::tag_hash_words consumes. The new element's slot is 0 until a
   /// round writes it.
   void push_back(const Tag* tag);
-
-  /// Appends the identity of element `i` of `other` (EHPP's
-  /// circle-membership split). The slot column is round-scoped scratch
-  /// (see below) and is not carried over.
-  void push_back_from(const TagSoA& other, std::size_t i);
 
   [[nodiscard]] const Tag* tag(std::size_t i) const noexcept {
     return tag_[i];
@@ -90,18 +89,50 @@ class TagSoA final {
   void compact_singletons(const std::vector<std::uint32_t>& counts,
                           simd::Backend backend);
 
-  /// Copies the identity columns of element `src` over element `dst`
-  /// (manual compaction loops; dst <= src keeps the operation
-  /// order-preserving). Slots are not copied.
-  void move_element(std::size_t dst, std::size_t src) noexcept;
+  /// EHPP's circle split: moves every element whose H(seed, id) mod
+  /// `modulus` is below `threshold` into `joined` (its previous contents
+  /// replaced) and compacts the rest in place, both sides in their
+  /// original relative order. Runs through simd::split_circle; any backend
+  /// splits identically. Slots on both sides are left stale.
+  void split_circle(std::uint64_t seed, std::uint64_t modulus,
+                    std::uint64_t threshold, TagSoA& joined,
+                    simd::Backend backend);
 
   /// Truncates to the first `n` elements (n <= size()).
   void resize_down(std::size_t n) noexcept;
 
  private:
-  std::vector<const Tag*> tag_;
-  std::vector<std::uint64_t> id_hi_;
-  std::vector<std::uint64_t> id_lo_;
+  /// std::allocator whose value-less construct() default-initialises, so
+  /// growing a column of trivial values with resize() leaves the new
+  /// elements unwritten instead of zero-filling them. split_circle sizes
+  /// its output for the worst case (every tag joins) each circle and the
+  /// kernel then writes exactly the [0, joined) prefix it keeps;
+  /// zero-filling the rest would cost as much memory traffic as the split
+  /// itself.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <typename T>
+  using Column = std::vector<T, DefaultInitAllocator<T>>;
+
+  // The identity columns are split_circle's output; the slot column is
+  // only ever grown by push_back, or zero-filled to a joined subset's size.
+  Column<const Tag*> tag_;
+  Column<std::uint64_t> id_hi_;
+  Column<std::uint64_t> id_lo_;
   std::vector<std::uint32_t> slot_;
 };
 

@@ -1,10 +1,16 @@
 // Tests for the Enhanced Hash Polling Protocol (paper Section III-D).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/ehpp_model.hpp"
+#include "common/hash.hpp"
 #include "common/math_util.hpp"
+#include "fault/recovery.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
+#include "protocols/round_engine.hpp"
+#include "sim/session.hpp"
 #include "sim/verify.hpp"
 
 namespace rfid::protocols {
@@ -138,6 +144,87 @@ TEST_P(EhppPopulationSweep, CompleteAndWasteFree) {
 INSTANTIATE_TEST_SUITE_P(Sizes, EhppPopulationSweep,
                          ::testing::Values(1, 2, 10, 100, 150, 500, 1000,
                                            5000, 12000));
+
+/// The per-tag membership loop EHPP ran before the batched split:
+/// tag_index_mod on each Tag object, a stable partition in index order.
+struct ReferenceSplit final {
+  std::vector<const tags::Tag*> joined;
+  std::vector<const tags::Tag*> kept;
+};
+
+ReferenceSplit reference_split(const tags::TagSoA& active, std::uint64_t seed,
+                               std::uint64_t modulus,
+                               std::uint64_t threshold) {
+  ReferenceSplit split;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    const tags::Tag* tag = active.tag(i);
+    (tag_index_mod(seed, tag->id(), modulus) < threshold ? split.joined
+                                                         : split.kept)
+        .push_back(tag);
+  }
+  return split;
+}
+
+class EhppCircleSplit : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EhppCircleSplit, EveryCircleMatchesTheReferenceLoop) {
+  const std::uint64_t modulus = GetParam();
+  Xoshiro256ss rng(2024);
+  const auto pop = tags::TagPopulation::uniform_random(5000, rng);
+  sim::SessionConfig config;
+  config.seed = 99;
+  sim::Session session(pop, config);
+  tags::TagSoA active = make_devices(session);
+  fault::RecoveryCoordinator recovery(config.recovery);
+  RoundEngine engine(session, recovery);
+  Ehpp::Config ehpp_config;
+  ehpp_config.selection_modulus = modulus;
+  const std::size_t subset_target = Ehpp(ehpp_config).effective_subset_size();
+
+  std::size_t circles = 0;
+  while (active.size() > subset_target) {
+    // On a clean, unframed channel the circle seed is the session's next
+    // protocol-RNG draw; f follows the F·n*/n_rem rule.
+    Xoshiro256ss peek = session.protocol_rng();
+    const std::uint64_t seed = peek() & 0xFFFFFFFFFFFFull;
+    const std::uint64_t threshold = modulus * subset_target / active.size();
+    const ReferenceSplit want =
+        reference_split(active, seed, modulus, threshold);
+
+    // The wrapper on a copy: both sides, in order.
+    tags::TagSoA kept = active;
+    tags::TagSoA joined;
+    kept.split_circle(seed, modulus, threshold, joined, engine.hash_backend());
+    ASSERT_EQ(joined.size(), want.joined.size()) << "circle " << circles;
+    ASSERT_EQ(kept.size(), want.kept.size()) << "circle " << circles;
+    for (std::size_t i = 0; i < joined.size(); ++i) {
+      EXPECT_EQ(joined.tag(i), want.joined[i]);
+      const TagId& id = want.joined[i]->id();
+      EXPECT_EQ(joined.id_hi(i),
+                (std::uint64_t{id.words[0]} << 32) | id.words[1]);
+      EXPECT_EQ(joined.id_lo(i), std::uint64_t{id.words[2]});
+    }
+    for (std::size_t i = 0; i < kept.size(); ++i)
+      EXPECT_EQ(kept.tag(i), want.kept[i]);
+
+    // The protocol's own circle: the kept remainder in order, and exactly
+    // the reference joiners polled (one poll each on a clean channel).
+    const std::uint64_t polls_before = session.metrics().polls;
+    ASSERT_TRUE(run_ehpp_circle(session, engine, active, ehpp_config,
+                                subset_target));
+    ASSERT_EQ(active.size(), want.kept.size()) << "circle " << circles;
+    for (std::size_t i = 0; i < active.size(); ++i)
+      EXPECT_EQ(active.tag(i), want.kept[i]) << "circle " << circles;
+    EXPECT_EQ(session.metrics().polls - polls_before, want.joined.size())
+        << "circle " << circles;
+    ++circles;
+  }
+  EXPECT_GE(circles, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Moduli, EhppCircleSplit,
+                         ::testing::Values(std::uint64_t{1} << 20,
+                                           std::uint64_t{1000003}));
 
 }  // namespace
 }  // namespace rfid::protocols

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fault/recovery.hpp"
@@ -114,6 +116,97 @@ TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
     }
     for (std::size_t i = 1; i < kept_scalar; ++i)
       EXPECT_LT(a[i - 1], a[i]) << "order not preserved at n=" << n;
+  }
+}
+
+TEST(SimdKernels, SplitCircleMatchesScalarAndKeepsOrder) {
+  // EHPP's circle split, scalar reference vs best backend, for
+  // power-of-two F (mask reduction) and prime F (exact `%`), with the
+  // empty (f = 0), full (f = F) and fractional thresholds. The tiny
+  // moduli make residue == f common, pinning the strict `<`. Both sides
+  // must also match the membership rule evaluated straight off
+  // tag_hash_words.
+  Xoshiro256ss rng(13579);
+  for (const std::size_t n : lane_tail_sizes()) {
+    for (const std::uint64_t modulus :
+         {std::uint64_t{1} << 20, std::uint64_t{1000003}, std::uint64_t{8},
+          std::uint64_t{7}}) {
+      for (const std::uint64_t threshold :
+           {std::uint64_t{0}, modulus / 3, modulus}) {
+        const std::uint64_t seed = rng() & 0xFFFFFFFFFFFFull;
+        std::vector<std::uint64_t> tag(n);
+        std::vector<std::uint64_t> hi(n);
+        std::vector<std::uint64_t> lo(n);
+        std::vector<std::uint64_t> want_joined;
+        std::vector<std::uint64_t> want_kept;
+        for (std::size_t i = 0; i < n; ++i) {
+          tag[i] = i;  // ascending payloads make order violations visible
+          hi[i] = rng();
+          lo[i] = rng() & 0xFFFFFFFFu;
+          const bool joins =
+              tag_hash_words(seed, hi[i], lo[i]) % modulus < threshold;
+          (joins ? want_joined : want_kept).push_back(i);
+        }
+        const auto split = [&](simd::Backend backend) {
+          std::vector<std::uint64_t> t = tag;
+          std::vector<std::uint64_t> h = hi;
+          std::vector<std::uint64_t> l = lo;
+          std::vector<std::uint64_t> ot(n);
+          std::vector<std::uint64_t> oh(n);
+          std::vector<std::uint64_t> ol(n);
+          const std::size_t joined =
+              simd::split_circle(seed, modulus, threshold, t.data(), h.data(),
+                                 l.data(), n, ot.data(), oh.data(), ol.data(),
+                                 backend);
+          for (auto* column : {&t, &h, &l}) column->resize(n - joined);
+          for (auto* column : {&ot, &oh, &ol}) column->resize(joined);
+          return std::vector<std::vector<std::uint64_t>>{t, h, l, ot, oh, ol};
+        };
+        const auto scalar = split(simd::Backend::kScalar);
+        const auto vec = split(simd::best_backend());
+        const std::string where = "n=" + std::to_string(n) +
+                                  " F=" + std::to_string(modulus) +
+                                  " f=" + std::to_string(threshold);
+        EXPECT_EQ(scalar, vec) << where;
+        EXPECT_EQ(scalar[0], want_kept) << where;
+        EXPECT_EQ(scalar[3], want_joined) << where;
+        for (std::size_t i = 0; i < want_joined.size(); ++i) {
+          EXPECT_EQ(scalar[4][i], hi[want_joined[i]]) << where;
+          EXPECT_EQ(scalar[5][i], lo[want_joined[i]]) << where;
+        }
+        for (std::size_t i = 0; i < want_kept.size(); ++i) {
+          EXPECT_EQ(scalar[1][i], hi[want_kept[i]]) << where;
+          EXPECT_EQ(scalar[2][i], lo[want_kept[i]]) << where;
+        }
+        if (threshold == 0) {
+          EXPECT_TRUE(want_joined.empty()) << where;
+        }
+        if (threshold == modulus) {
+          EXPECT_TRUE(want_kept.empty()) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SplitCircleZeroModulusReducesToZero) {
+  // F = 0 maps every hash to residue 0, as tag_index_mod does: everyone
+  // joins iff f > 0.
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::best_backend()}) {
+    std::vector<std::uint64_t> tag{1, 2, 3};
+    std::vector<std::uint64_t> hi{4, 5, 6};
+    std::vector<std::uint64_t> lo{7, 8, 9};
+    std::vector<std::uint64_t> out(9);
+    EXPECT_EQ(simd::split_circle(1, 0, 0, tag.data(), hi.data(), lo.data(), 3,
+                                 out.data(), out.data() + 3, out.data() + 6,
+                                 backend),
+              0u);
+    EXPECT_EQ(simd::split_circle(1, 0, 1, tag.data(), hi.data(), lo.data(), 3,
+                                 out.data(), out.data() + 3, out.data() + 6,
+                                 backend),
+              3u);
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
   }
 }
 
