@@ -10,7 +10,12 @@ namespace {
 using core::ProtocolKind;
 
 struct MissingCase final {
+  MissingCase(ProtocolKind k, std::size_t tags, std::size_t every)
+      : kind(k), n(tags), missing_every(every) {}
   ProtocolKind kind;
+  // gtest names each case after the raw bytes of a parameter it cannot
+  // print; explicit zeroed padding keeps those names the same every run.
+  std::uint32_t padding = 0;
   std::size_t n;
   std::size_t missing_every;  ///< every k-th tag is absent
 };
@@ -18,7 +23,9 @@ struct MissingCase final {
 class MissingSweep : public ::testing::TestWithParam<MissingCase> {};
 
 TEST_P(MissingSweep, ExactAndAccounted) {
-  const auto [kind, n, every] = GetParam();
+  const auto kind = GetParam().kind;
+  const auto n = GetParam().n;
+  const auto every = GetParam().missing_every;
   Xoshiro256ss rng(n + every);
   const auto pop = tags::TagPopulation::uniform_random(n, rng);
   std::unordered_set<TagId, TagIdHash> present;

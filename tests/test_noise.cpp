@@ -12,14 +12,19 @@ namespace {
 using core::ProtocolKind;
 
 struct NoiseCase final {
+  NoiseCase(ProtocolKind k, double rate) : kind(k), error_rate(rate) {}
   ProtocolKind kind;
+  // gtest names each case after the raw bytes of a parameter it cannot
+  // print; explicit zeroed padding keeps those names the same every run.
+  std::uint32_t padding = 0;
   double error_rate;
 };
 
 class NoiseSweep : public ::testing::TestWithParam<NoiseCase> {};
 
 TEST_P(NoiseSweep, CompleteAndCorrectUnderNoise) {
-  const auto [kind, rate] = GetParam();
+  const auto kind = GetParam().kind;
+  const auto rate = GetParam().error_rate;
   Xoshiro256ss rng(99);
   const auto pop = tags::TagPopulation::uniform_random(800, rng)
                        .with_random_payloads(8, rng);

@@ -219,14 +219,19 @@ TEST(DecodeSegmentStream, EveryFlipCorruptsItsOwnSegment) {
 // Property tests: randomized index sets, swept over (h, density).
 
 struct TreeCase final {
+  TreeCase(unsigned bits, double fill) : h(bits), density(fill) {}
   unsigned h;
+  // gtest names each case after the raw bytes of a parameter it cannot
+  // print; explicit zeroed padding keeps those names the same every run.
+  std::uint32_t padding = 0;
   double density;  ///< fraction of the 2^h index space used
 };
 
 class PollingTreeProperty : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(PollingTreeProperty, TrieAndSortedEncodingsAgree) {
-  const auto [h, density] = GetParam();
+  const auto h = GetParam().h;
+  const auto density = GetParam().density;
   Xoshiro256ss rng(1000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -243,7 +248,8 @@ TEST_P(PollingTreeProperty, TrieAndSortedEncodingsAgree) {
 }
 
 TEST_P(PollingTreeProperty, TotalBitsEqualNodeCount) {
-  const auto [h, density] = GetParam();
+  const auto h = GetParam().h;
+  const auto density = GetParam().density;
   Xoshiro256ss rng(2000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -255,7 +261,8 @@ TEST_P(PollingTreeProperty, TotalBitsEqualNodeCount) {
 }
 
 TEST_P(PollingTreeProperty, NodeCountWithinEquationSevenBound) {
-  const auto [h, density] = GetParam();
+  const auto h = GetParam().h;
+  const auto density = GetParam().density;
   Xoshiro256ss rng(3000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -271,7 +278,8 @@ TEST_P(PollingTreeProperty, NodeCountWithinEquationSevenBound) {
 TEST_P(PollingTreeProperty, SegmentsReconstructIndices) {
   // Replaying the register-update rule over the segments must reproduce
   // exactly the sorted index set — this is the tag-side decoding contract.
-  const auto [h, density] = GetParam();
+  const auto h = GetParam().h;
+  const auto density = GetParam().density;
   Xoshiro256ss rng(4000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     auto indices = random_indices(h, density, rng);

@@ -20,7 +20,13 @@ double simulated_time_s(ProtocolKind kind, std::size_t n, std::size_t l,
 }
 
 struct ProjectionCase final {
+  ProjectionCase(ProtocolKind k, std::size_t tags, std::size_t info_bits,
+                 double tol)
+      : kind(k), n(tags), l(info_bits), tolerance(tol) {}
   ProtocolKind kind;
+  // gtest names each case after the raw bytes of a parameter it cannot
+  // print; explicit zeroed padding keeps those names the same every run.
+  std::uint32_t padding = 0;
   std::size_t n;
   std::size_t l;
   double tolerance;  ///< relative
@@ -29,7 +35,10 @@ struct ProjectionCase final {
 class ProjectionSweep : public ::testing::TestWithParam<ProjectionCase> {};
 
 TEST_P(ProjectionSweep, ModelTracksSimulation) {
-  const auto [kind, n, l, tolerance] = GetParam();
+  const auto kind = GetParam().kind;
+  const auto n = GetParam().n;
+  const auto l = GetParam().l;
+  const auto tolerance = GetParam().tolerance;
   const auto projected = projected_protocol_time_s(kind, n, l);
   ASSERT_TRUE(projected.has_value());
   const double simulated = simulated_time_s(kind, n, l, 1234 + n);
