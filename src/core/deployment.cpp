@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/multi_reader.hpp"
 #include "fault/injector.hpp"
+#include "fault/recovery.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "protocols/tree_polling.hpp"
@@ -64,11 +65,11 @@ fault::SupervisorConfig scale_supervisor(fault::SupervisorConfig config,
   return config;
 }
 
-fault::RecoveryConfig handoff_ledger(std::uint32_t budget) {
-  fault::RecoveryConfig config;
-  config.enabled = true;
-  config.retry_budget = budget;
-  return config;
+/// A churn calendar entry for `next_at`, clamped to 32 bits: clamping only
+/// brings a re-derivation forward, never skips one.
+std::uint32_t due_tick(std::uint64_t next_at) noexcept {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(next_at, UINT32_MAX));
 }
 
 /// Contract checks run here, in the config_ member initializer, so they
@@ -83,6 +84,7 @@ DeploymentConfig validated(DeploymentConfig config) {
                config.churn_move_per_tick < 1.0);
   RFID_EXPECTS(config.churn_depart_per_tick + config.churn_move_per_tick <
                1.0);
+  RFID_EXPECTS(config.handoff_budget <= 255);
   return config;
 }
 
@@ -145,7 +147,10 @@ ChurnPosition churn_position(const TagId& id, std::size_t home_zone,
     const double wait = hash_unit(
         tag_hash(derive_seed(config.churn_seed, event << 1), id));
     at += 1 + static_cast<std::uint64_t>(std::log(wait) / log_survive);
-    if (at > tick) return position;
+    if (at > tick) {
+      position.next_at = at;
+      return position;
+    }
     const std::uint64_t kind_hash =
         tag_hash(derive_seed(config.churn_seed, (event << 1) | 1), id);
     if (hash_unit(kind_hash) * hazard <= config.churn_depart_per_tick) {
@@ -228,7 +233,7 @@ Deployment::Deployment(const tags::TagPopulation& population,
       protocol_name_(protocols::to_string(config_.kind)),
       supervisor_(config_.readers,
                   scale_supervisor(config_.supervisor, rotation_)),
-      handoff_budget_(handoff_ledger(config_.handoff_budget)) {
+      handoff_attempts_(population.size(), 0) {
   runtime_.reserve(config_.readers);
   for (std::size_t r = 0; r < config_.readers; ++r) {
     runtime_.emplace_back(config_.session.recovery);
@@ -247,15 +252,23 @@ Deployment::Deployment(const tags::TagPopulation& population,
   // rule for tags that overlap into the neighbor zone. Sharded over the
   // pool — each shard scans the population and keeps only its readers'
   // tags, so per-reader insertion order equals population order exactly
-  // as in the serial pass (shard-count invariance by construction).
-  const auto place_range = [this](std::size_t first_reader,
-                                  std::size_t last_reader) {
+  // as in the serial pass (shard-count invariance by construction). Each
+  // placed tag's churn calendar entry is its first event tick, written by
+  // the shard that owns the tag.
+  const bool churn = config_.churn_depart_per_tick > 0.0 ||
+                     config_.churn_move_per_tick > 0.0;
+  if (churn) churn_due_.resize(population_->size());
+  const auto place_range = [this, churn](std::size_t first_reader,
+                                         std::size_t last_reader) {
     for (const tags::Tag& tag : *population_) {
       const std::size_t home =
           reader_of(tag.id(), config_.readers, config_.partition_seed);
       const std::size_t owner = owner_in_zone(tag.id(), home, config_);
-      if (owner >= first_reader && owner < last_reader)
-        runtime_[owner].active.push_back(&tag);
+      if (owner < first_reader || owner >= last_reader) continue;
+      runtime_[owner].active.push_back(&tag);
+      if (churn)
+        churn_due_[index_of(&tag)] = due_tick(
+            churn_position(tag.id(), home, 0, config_).next_at);
     }
   };
   if (pool_ != nullptr && shards_ > 1) {
@@ -334,17 +347,22 @@ void Deployment::run_reader_parallel(std::size_t reader,
   if (rt.fault_event.has_value()) return;
   if (!rt.scheduled) return;  // another co-channel reader holds the RF slot
 
-  const bool churn = config_.churn_depart_per_tick > 0.0 ||
-                     config_.churn_move_per_tick > 0.0;
+  const bool churn = !churn_due_.empty();  // allocated iff churn is on
   if (churn && !rt.active.empty()) {
     // Zone scan at the reader's own transmit slot: departed tags leave the
     // active set (listed missing at the merge), moved tags queue for
     // handoff to their new owner. Scan before the round so a tag that
-    // left at tick t is never interrogated at tick >= t.
+    // left at tick t is never interrogated at tick >= t. A tag whose
+    // calendar entry is still in the future sits with its owner (the
+    // churn_due_ invariant) and is skipped; the others are re-derived and
+    // re-dated. Every tag here belongs to this reader alone, so the
+    // calendar writes never race across shards.
     rt.churn_done.assign(rt.active.size(), 0);
     std::size_t removed = 0;
     for (std::size_t i = 0; i < rt.active.size(); ++i) {
       const tags::Tag* tag = rt.active.tag(i);
+      std::uint32_t& due = churn_due_[index_of(tag)];
+      if (tick_ < due) continue;
       const std::size_t home =
           reader_of(tag->id(), config_.readers, config_.partition_seed);
       const ChurnPosition position =
@@ -355,6 +373,9 @@ void Deployment::run_reader_parallel(std::size_t reader,
         ++removed;
         continue;
       }
+      // Until next_at the owner stays put: either this reader, or the one
+      // the merge hands the tag to below.
+      due = due_tick(position.next_at);
       const std::size_t owner =
           owner_in_zone(tag->id(), position.zone, config_);
       if (owner != reader) {
@@ -388,6 +409,17 @@ void Deployment::run_reader_parallel(std::size_t reader,
                        static_cast<std::size_t>(live.undelivered -
                                                 undelivered_before) -
                        static_cast<std::size_t>(live.missing - missing_before);
+}
+
+std::size_t Deployment::index_of(const tags::Tag* tag) const noexcept {
+  return static_cast<std::size_t>(tag - population_->tags().data());
+}
+
+bool Deployment::take_handoff(const tags::Tag* tag) {
+  std::uint8_t& used = handoff_attempts_[index_of(tag)];
+  if (used >= config_.handoff_budget) return false;
+  ++used;
+  return true;
 }
 
 void Deployment::apply_fault_event(std::size_t reader,
@@ -451,8 +483,11 @@ void Deployment::hand_off(std::size_t from) {
         rt.keep_scratch.push_back(tag);
       continue;
     }
-    if (handoff_budget_.take_attempt(tag->id())) {
+    if (take_handoff(tag)) {
       runtime_[target].active.push_back(tag);
+      // The target need not be the tag's churn owner: its next scan must
+      // re-derive the owner rather than trust the calendar.
+      if (!churn_due_.empty()) churn_due_[index_of(tag)] = 0;
       ++rehomed;
     } else {
       report_.undelivered_ids.push_back(tag->id());
@@ -542,7 +577,7 @@ bool Deployment::tick() {
     }
     for (std::size_t m = 0; m < rt.moved.size(); ++m) {
       const tags::Tag* tag = rt.moved[m];
-      if (handoff_budget_.take_attempt(tag->id())) {
+      if (take_handoff(tag)) {
         // rfidlint: allow(hotpath-alloc) — churn handoff slow path, outside the fault-free zero-alloc contract
         runtime_[rt.moved_target[m]].active.push_back(tag);
         ++report_.handoffs;

@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "fault/fault_model.hpp"
-#include "fault/recovery.hpp"
 #include "fault/supervisor.hpp"
 #include "obs/health.hpp"
 #include "parallel/thread_pool.hpp"
@@ -177,6 +176,10 @@ struct ChurnPosition final {
   bool departed = false;
   std::uint64_t departed_at = 0;
   std::uint32_t moves = 0;  ///< move events that fired up to `tick`
+  /// The first event tick after `tick`: the position is the same at every
+  /// tick before it. UINT64_MAX when no event ever fires again (zero
+  /// hazards, or departed).
+  std::uint64_t next_at = UINT64_MAX;
 };
 [[nodiscard]] ChurnPosition churn_position(const TagId& id,
                                            std::size_t home_zone,
@@ -233,6 +236,9 @@ class Deployment final {
   void fold_session(std::size_t reader, detail::ReaderRuntime& rt);
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt);
+  [[nodiscard]] std::size_t index_of(const tags::Tag* tag) const noexcept;
+  /// Consumes one unit of the tag's fleet handoff budget; false once spent.
+  [[nodiscard]] bool take_handoff(const tags::Tag* tag);
 
   const tags::TagPopulation* population_;
   DeploymentConfig config_;
@@ -243,7 +249,15 @@ class Deployment final {
   std::string protocol_name_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;
-  fault::RecoveryCoordinator handoff_budget_;
+  /// Handoffs each tag has consumed, indexed like the population
+  /// (handoff_budget <= 255 keeps the counter in a byte).
+  std::vector<std::uint8_t> handoff_attempts_;
+  /// Churn calendar, indexed like the population and empty without churn:
+  /// the first tick at which the tag's churn position may differ from the
+  /// one its last scan saw (clamped to 32 bits; 0 = scan now). Invariant: a
+  /// tag whose due tick lies in the future sits in its owner's active set,
+  /// so a scan before that tick would find nothing to do.
+  std::vector<std::uint32_t> churn_due_;
   std::vector<ChannelReport> channels_state_;
   std::vector<std::size_t> scheduled_;  ///< per-channel reader, per tick
   std::vector<std::size_t> shard_begin_;  ///< shard -> first reader

@@ -1,8 +1,11 @@
 #include "tags/population.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace rfid::tags {
 
@@ -18,25 +21,70 @@ TagId random_id(Xoshiro256ss& id_rng) {
   return id;
 }
 
+/// Duplicate check for a tag vector as it is built: an open-addressing
+/// index of its IDs with linear probing. Each slot is one word — index+1
+/// into the vector (0 = empty) under a 32-bit fingerprint of the ID's
+/// hash — so a probe reads one 8-byte slot and goes back to the vector for
+/// the full ID only on a fingerprint match. The home slot is the other
+/// hash half scaled into the table (a 32×32-bit product, so no wide
+/// multiply); the load factor stays at or below 0.8.
+class IdIndex final {
+ public:
+  static constexpr std::size_t kAbsent =
+      std::numeric_limits<std::size_t>::max();
+
+  /// Sized for up to `n` IDs of `tags`, which must outlive the index.
+  IdIndex(const std::vector<Tag>& tags, std::size_t n) : tags_(tags) {
+    RFID_EXPECTS(n < (std::uint64_t{1} << 32));
+    slots_.assign(std::min<std::uint64_t>(n + n / 4 + 16,
+                                          std::uint64_t{1} << 32),
+                  0);
+  }
+
+  /// Returns the index of the tag whose ID equals `id`; when there is none,
+  /// records `id` as the ID of tags[index] (which may not exist yet) and
+  /// returns kAbsent.
+  std::size_t insert(const TagId& id, std::size_t index) {
+    const std::uint64_t h = mix64(id.fold64());
+    const std::uint64_t fingerprint = h << 32;
+    const std::size_t capacity = slots_.size();
+    for (auto slot = static_cast<std::size_t>(((h >> 32) * capacity) >> 32);;
+         slot = slot + 1 == capacity ? 0 : slot + 1) {
+      const std::uint64_t entry = slots_[slot];
+      if (entry == 0) {
+        slots_[slot] = fingerprint | (index + 1);
+        return kAbsent;
+      }
+      if ((entry & ~0xFFFFFFFFULL) == fingerprint) {
+        const auto other = static_cast<std::size_t>(entry & 0xFFFFFFFFu) - 1;
+        if (tags_[other].id() == id) return other;
+      }
+    }
+  }
+
+ private:
+  const std::vector<Tag>& tags_;
+  std::vector<std::uint64_t> slots_;
+};
+
 }  // namespace
 
 TagPopulation::TagPopulation(std::vector<Tag> tags) : tags_(std::move(tags)) {
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(tags_.size());
-  for (const Tag& tag : tags_) {
-    const bool inserted = seen.insert(tag.id()).second;
+  IdIndex index(tags_, tags_.size());
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    const bool inserted = index.insert(tags_[i].id(), i) == IdIndex::kAbsent;
     RFID_EXPECTS(inserted && "duplicate tag ID in population");
   }
 }
 
 TagPopulation TagPopulation::uniform_random(std::size_t n, Xoshiro256ss& id_rng) {
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(n);
   std::vector<Tag> tags;
   tags.reserve(n);
+  IdIndex index(tags, n);
   while (tags.size() < n) {
     const TagId id = random_id(id_rng);
-    if (seen.insert(id).second) tags.emplace_back(id);
+    if (index.insert(id, tags.size()) == IdIndex::kAbsent)
+      tags.emplace_back(id);
   }
   return TagPopulation(std::move(tags), UniqueIds{});
 }
@@ -47,33 +95,26 @@ TagPopulation TagPopulation::uniform_random_sharded(std::size_t n,
   RFID_EXPECTS(shards >= 1);
   std::vector<Tag> tags;
   tags.reserve(n);
-  for (std::size_t shard = 0; shard < shards; ++shard)
-    uniform_random_shard_into(tags, n, seed, shard, shards);
-  // Cross-shard collisions are possible in principle (each shard only
-  // dedups locally) and vanishingly rare with 96-bit IDs; the population
-  // constructor still catches them loudly.
-  return TagPopulation(std::move(tags));
-}
-
-void TagPopulation::uniform_random_shard_into(std::vector<Tag>& out,
-                                              std::size_t n, std::uint64_t seed,
-                                              std::size_t shard,
-                                              std::size_t shards) {
-  RFID_EXPECTS(shards >= 1 && shard < shards);
-  const std::size_t first = shard * n / shards;
-  const std::size_t last = (shard + 1) * n / shards;
-  Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(last - first);
-  out.reserve(out.size() + (last - first));
-  std::size_t made = 0;
-  while (made < last - first) {
-    const TagId id = random_id(shard_id_rng);
-    if (seen.insert(id).second) {
-      out.emplace_back(id);
-      ++made;
+  IdIndex index(tags, n);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const std::size_t first = shard * n / shards;
+    const std::size_t last = (shard + 1) * n / shards;
+    Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
+    while (tags.size() < last) {
+      const TagId id = random_id(shard_id_rng);
+      const std::size_t seen = index.insert(id, tags.size());
+      if (seen == IdIndex::kAbsent) {
+        tags.emplace_back(id);
+        continue;
+      }
+      // A repeat within this shard is redrawn, so each shard stays pure in
+      // (seed, shard); one from an earlier shard is a cross-shard collision
+      // (vanishingly rare with 96-bit IDs), rejected as the population
+      // constructor rejects any duplicate.
+      RFID_EXPECTS(seen >= first && "duplicate tag ID in population");
     }
   }
+  return TagPopulation(std::move(tags), UniqueIds{});
 }
 
 TagPopulation TagPopulation::sequential(std::size_t n, std::uint64_t first) {
@@ -101,16 +142,16 @@ TagPopulation TagPopulation::prefix_clustered(std::size_t n,
   for (std::size_t c = 0; c < categories; ++c)
     prefixes.push_back(random_id(id_rng));
 
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(n);
   std::vector<Tag> tags;
   tags.reserve(n);
+  IdIndex index(tags, n);
   while (tags.size() < n) {
     const std::size_t category = tags.size() % categories;
     TagId id = random_id(id_rng);
     for (std::size_t b = 0; b < prefix_bits; ++b)
       id.set_bit(b, prefixes[category].bit(b));
-    if (seen.insert(id).second) tags.emplace_back(id);
+    if (index.insert(id, tags.size()) == IdIndex::kAbsent)
+      tags.emplace_back(id);
   }
   return TagPopulation(std::move(tags), UniqueIds{});
 }

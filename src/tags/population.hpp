@@ -46,22 +46,13 @@ class TagPopulation final {
 
   /// n tags generated as `shards` independent slices: shard s draws IDs for
   /// indices [s·n/shards, (s+1)·n/shards) from its own stream seeded
-  /// derive_seed(seed, s) — pure in (seed, shard), so shards can be
-  /// generated concurrently (or on different machines) and concatenated in
-  /// shard order to reproduce the exact same population as this serial
-  /// call. The million-tag deployment sweeps use this to build their
-  /// populations in parallel without threading the draws through one
-  /// sequential stream.
+  /// derive_seed(seed, s), redrawing repeats within the shard — pure in
+  /// (seed, shard), so a slice can be reproduced without replaying the
+  /// draws of the shards before it. An ID drawn by two different shards
+  /// throws ContractViolation, as the constructor does for any duplicate.
   [[nodiscard]] static TagPopulation uniform_random_sharded(std::size_t n,
                                                             std::uint64_t seed,
                                                             std::size_t shards);
-
-  /// Appends shard `shard`'s slice of uniform_random_sharded(n, seed,
-  /// shards) to `out`. Thread-safe across distinct `out` vectors — this is
-  /// the piece pool workers run.
-  static void uniform_random_shard_into(std::vector<Tag>& out, std::size_t n,
-                                        std::uint64_t seed, std::size_t shard,
-                                        std::size_t shards);
 
   /// n tags with consecutive IDs starting at `first` (low word increments).
   [[nodiscard]] static TagPopulation sequential(std::size_t n,

@@ -4,6 +4,7 @@
 // and shard/thread invariance of the report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,6 +27,12 @@ tags::TagPopulation uniform(std::size_t n, std::uint64_t seed) {
 std::string deployment_digest(const DeploymentReport& report) {
   std::ostringstream os;
   obs::write_json(os, report.totals);
+  for (std::size_t r = 0; r < report.per_reader_metrics.size(); ++r) {
+    os << '|';
+    obs::write_json(os, report.per_reader_metrics[r]);
+    os << ':' << report.per_reader_delivered[r] << ':'
+       << report.per_reader_incarnations[r];
+  }
   os << '|' << report.delivered << '|' << report.ticks << '|'
      << report.handoffs << '|' << report.churn_moves << '|'
      << report.churn_departures << '|' << report.transitions.size();
@@ -34,6 +41,16 @@ std::string deployment_digest(const DeploymentReport& report) {
   for (const ChannelReport& c : report.per_channel)
     os << '|' << c.readers << ':' << c.rounds << ':' << c.busy_us;
   return os.str();
+}
+
+/// FNV-1a of a digest string, for pinning one in a test.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 // --- Channel schedule -------------------------------------------------------
@@ -171,6 +188,45 @@ TEST(Churn, ZeroHazardsMeanNobodyEverMoves) {
   }
 }
 
+TEST(Churn, NextAtIsTheFirstTickThePositionChanges) {
+  const auto pop = uniform(60, 52);
+  DeploymentConfig config;
+  config.readers = 5;
+  config.churn_move_per_tick = 0.04;
+  config.churn_depart_per_tick = 0.01;
+  Xoshiro256ss tick_rng(53);
+  const auto same = [](const ChurnPosition& a, const ChurnPosition& b) {
+    return a.zone == b.zone && a.departed == b.departed && a.moves == b.moves;
+  };
+  std::size_t finite = 0;
+  for (const tags::Tag& tag : pop) {
+    for (int sample = 0; sample < 8; ++sample) {
+      const std::uint64_t tick = tick_rng.below(100);
+      const ChurnPosition pos = churn_position(tag.id(), 3, tick, config);
+      if (pos.departed) {
+        EXPECT_EQ(pos.next_at, UINT64_MAX);  // nothing fires after leaving
+        continue;
+      }
+      ASSERT_GT(pos.next_at, tick);
+      ASSERT_LT(pos.next_at, tick + 5000);
+      ++finite;
+      for (std::uint64_t t = tick + 1; t < pos.next_at; ++t)
+        ASSERT_TRUE(same(churn_position(tag.id(), 3, t, config), pos))
+            << "changed at " << t << " before next_at " << pos.next_at;
+      const ChurnPosition after =
+          churn_position(tag.id(), 3, pos.next_at, config);
+      EXPECT_FALSE(same(after, pos));
+      EXPECT_EQ(after.moves + (after.departed ? 1u : 0u), pos.moves + 1);
+    }
+  }
+  EXPECT_GT(finite, 200u);
+
+  config.churn_move_per_tick = 0.0;
+  config.churn_depart_per_tick = 0.0;
+  for (const tags::Tag& tag : pop)
+    EXPECT_EQ(churn_position(tag.id(), 3, 17, config).next_at, UINT64_MAX);
+}
+
 // --- End-to-end accounting --------------------------------------------------
 
 TEST(Deployment, ChurningOverlappingSweepAccountsExactly) {
@@ -264,6 +320,41 @@ TEST(Deployment, FaultsUnderChannelContentionStayExact) {
   EXPECT_FALSE(report.transitions.empty());
 }
 
+// The faulty-fleet benchmark scenario at its smoke size: burst loss, framed
+// BER with recovery, reader crashes/stalls/restarts, overlap and churn. The
+// digest was recorded at commit 206ceae, before the churn scan kept a per-tag
+// calendar and the handoff ledger became a per-tag counter; both must leave
+// every simulated count, metric and listed ID unchanged.
+TEST(Deployment, FaultyFleetSmokeShapeMatchesRecordedDigest) {
+  const auto pop =
+      tags::TagPopulation::uniform_random_sharded(50000, derive_seed(1, 0), 8);
+  DeploymentConfig config;
+  config.readers = 16;
+  config.channels = 8;
+  config.kind = protocols::ProtocolKind::kTpp;
+  config.session.seed = 1;
+  config.session.keep_records = false;
+  config.zone_overlap = 0.1;
+  config.churn_move_per_tick = 0.0008;
+  config.churn_depart_per_tick = 0.0002;
+  config.session.fault.link = fault::LinkModel::kGilbertElliott;
+  config.session.fault.downlink_ber = 1e-4;
+  config.session.framing.enabled = true;
+  config.session.recovery.enabled = true;
+  config.reader_faults.crash_per_tick = 0.002;
+  config.reader_faults.stall_per_tick = 0.005;
+  config.reader_faults.restart_per_tick = 0.002;
+  const DeploymentReport report = run_deployment(pop, config);
+  EXPECT_TRUE(report.verified);
+  EXPECT_EQ(report.ticks, 41u);
+  EXPECT_EQ(report.handoffs, 2440u);
+  EXPECT_EQ(report.churn_moves, 1307u);
+  EXPECT_EQ(report.churn_departures, 43u);
+  EXPECT_EQ(report.missing_ids.size(), 43u);
+  EXPECT_EQ(report.undelivered_ids.size(), 6u);
+  EXPECT_EQ(fnv1a(deployment_digest(report)), 0x8a9f81772cca6e04ULL);
+}
+
 // --- Shard and thread invariance --------------------------------------------
 
 TEST(Deployment, ReportIsInvariantToShardCount) {
@@ -308,6 +399,11 @@ TEST(Deployment, InvalidConfigsRejected) {
   EXPECT_THROW((void)run_deployment(pop, config), ContractViolation);
   config.zone_overlap = 0.0;
   config.churn_depart_per_tick = 1.0;
+  EXPECT_THROW((void)run_deployment(pop, config), ContractViolation);
+  config.churn_depart_per_tick = 0.0;
+  config.handoff_budget = 255;  // the widest per-tag attempt counter
+  EXPECT_NO_THROW((void)run_deployment(pop, config));
+  config.handoff_budget = 256;
   EXPECT_THROW((void)run_deployment(pop, config), ContractViolation);
 }
 

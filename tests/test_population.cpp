@@ -1,7 +1,9 @@
 // Unit tests for tag and population generation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "tags/population.hpp"
@@ -76,6 +78,66 @@ TEST(Population, DuplicateIdsRejected) {
   tags.emplace_back(TagId::from_hex("000000000000000000000001"));
   tags.emplace_back(TagId::from_hex("000000000000000000000001"));
   EXPECT_THROW(TagPopulation{std::move(tags)}, ContractViolation);
+}
+
+TEST(Population, DuplicatesAtBothEndsRejected) {
+  const TagPopulation seq = TagPopulation::sequential(1000, 77);
+  std::vector<Tag> tags(seq.begin(), seq.end());
+  tags.back() = tags.front();
+  EXPECT_THROW(TagPopulation{std::move(tags)}, ContractViolation);
+}
+
+TEST(Population, IdsDifferingOnlyInTheLowWordAreDistinct) {
+  TagId a;
+  a.words = {0xDEADBEEFu, 0x01234567u, 5u};
+  TagId b = a;
+  b.words[2] = 6u;
+  std::vector<Tag> distinct{Tag(a), Tag(b)};
+  EXPECT_EQ(TagPopulation{std::move(distinct)}.size(), 2u);
+  std::vector<Tag> repeated{Tag(a), Tag(b), Tag(a)};
+  EXPECT_THROW(TagPopulation{std::move(repeated)}, ContractViolation);
+}
+
+TEST(Population, AllZeroIdAcceptedOnce) {
+  const TagId zero;
+  const TagId one = TagId::from_hex("000000000000000000000001");
+  std::vector<Tag> once{Tag(one), Tag(zero)};
+  EXPECT_EQ(TagPopulation{std::move(once)}.size(), 2u);
+  std::vector<Tag> twice{Tag(zero), Tag(one), Tag(zero)};
+  EXPECT_THROW(TagPopulation{std::move(twice)}, ContractViolation);
+}
+
+TEST(Population, LargeSequentialPopulationAccepted) {
+  const TagPopulation pop = TagPopulation::sequential(200000);
+  ASSERT_EQ(pop.size(), 200000u);
+  EXPECT_EQ(pop[199999].id().to_hex(), "000000000000000000030d3f");
+}
+
+/// FNV-1a over every ID word, in population order.
+std::uint64_t id_digest(const TagPopulation& pop) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Tag& tag : pop)
+    for (const std::uint32_t word : tag.id().words) {
+      h ^= word;
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+// Digests recorded at commit 206ceae, where every generator deduplicated
+// through std::unordered_set: however the duplicate check is implemented,
+// the generators must draw exactly these IDs in this order. prefix_clustered
+// leaves 12 random bits per category, so its redraw path fires often.
+TEST(Population, GeneratorsDrawTheRecordedIds) {
+  Xoshiro256ss uniform_rng(7);
+  EXPECT_EQ(id_digest(TagPopulation::uniform_random(100000, uniform_rng)),
+            0xdb08f781d9f12a69ULL);
+  EXPECT_EQ(id_digest(TagPopulation::uniform_random_sharded(1000000, 11, 8)),
+            0x261574461fe87fc5ULL);
+  Xoshiro256ss prefix_rng(9);
+  EXPECT_EQ(id_digest(TagPopulation::prefix_clustered(20000, 16, 84,
+                                                      prefix_rng)),
+            0xe544116a42fa31edULL);
 }
 
 TEST(Population, PrefixClusteredSharesCategoryPrefix) {
