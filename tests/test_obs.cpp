@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/env.hpp"
 #include "core/polling.hpp"
@@ -559,6 +560,132 @@ TEST(Stream, SnapshotJsonIsByteStableSerialVsPooled) {
   EXPECT_NE(from_serial.find(R"("sequence":1)"), std::string::npos);
   EXPECT_NE(from_serial.find(R"("readers":[)"), std::string::npos);
   EXPECT_NE(from_serial.find(R"("phases":{)"), std::string::npos);
+}
+
+// --- Snapshot JSON: golden bytes -------------------------------------------
+
+/// A Metrics block whose doubles cover the formatter's edge cases: signed
+/// zero, the smallest subnormal, values that need all 17 digits, exponent
+/// notation on both sides and the non-finite values.
+obs::Metrics golden_metrics(std::uint64_t base) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::Metrics m;
+  m.polls = base;
+  m.missing = base + 1;
+  m.corrupted = 0;
+  m.retries = 3;
+  m.undelivered = base * 7;
+  m.rounds = 18446744073709551615ull;
+  m.circles = 9;
+  m.slots_total = 10;
+  m.slots_useful = 11;
+  m.slots_wasted = 12;
+  m.vector_bits = 1000000000000ull + base;
+  m.command_bits = 14;
+  m.tag_bits = 15;
+  m.segments_sent = 16;
+  m.segments_corrupted = 17;
+  m.segments_retransmitted = 18;
+  m.downlink_corrupted = 19;
+  m.degradations = 20;
+  m.reader_crashes = 21;
+  m.reader_stalls = 22;
+  m.reader_restarts = 23;
+  m.handoffs = 24;
+  m.framing_overhead_bits = 25;
+  m.time_us = 0.1 + 0.2 + static_cast<double>(base);
+  m.phases.us = {-0.0, 5e-324, 0.1, 1e17, kInf, -kInf};
+  return m;
+}
+
+obs::MetricsSnapshot golden_snapshot() {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  obs::MetricsSnapshot snapshot;
+  snapshot.sequence = 42;
+  snapshot.interval_s = 0.30000000000000004;
+  snapshot.rounds_per_sec = 123456789012345678.0;
+  snapshot.totals = golden_metrics(0);
+  const obs::ReaderHealth healths[] = {obs::ReaderHealth::kHealthy,
+                                       obs::ReaderHealth::kDown,
+                                       obs::ReaderHealth::kRecovering};
+  const double bers[] = {-0.0, 1e-7, kNan};
+  for (std::size_t r = 0; r < 3; ++r) {
+    obs::ReaderTelemetry reader;
+    reader.metrics = golden_metrics(r + 1);
+    reader.ber_estimate = bers[r];
+    reader.epochs = r * 5;
+    reader.retry_budget = 8;
+    reader.health = healths[r];
+    reader.crashes = r;
+    reader.restarts = r == 2 ? 1 : 0;
+    snapshot.readers.push_back(reader);
+  }
+  snapshot.channels.push_back({2, 77, 1e300});
+  snapshot.channels.push_back({1, 0, std::copysign(kNan, -1.0)});
+  snapshot.fleet_handoffs = 5;
+  snapshot.fleet_churn_departures = 6;
+  return snapshot;
+}
+
+TEST(Stream, GoldenJsonBytes) {
+  // Pins the exact bytes every JSON surface emits. The expected strings
+  // were produced by the iostream formatter (precision 17, i.e. %.17g);
+  // only the per-reader fields of golden_metrics() are spliced in.
+  const auto metrics_json = [](const char* counts, const char* vector_bits,
+                               const char* time_us) {
+    return std::string(R"({"polls":)") + counts +
+           R"(,"rounds":18446744073709551615,"circles":9,"slots_total":10,)"
+           R"("slots_useful":11,"slots_wasted":12,"vector_bits":)" +
+           vector_bits +
+           R"(,"command_bits":14,"tag_bits":15,"segments_sent":16,)"
+           R"("segments_corrupted":17,"segments_retransmitted":18,)"
+           R"("downlink_corrupted":19,"degradations":20,"reader_crashes":21,)"
+           R"("reader_stalls":22,"reader_restarts":23,"handoffs":24,)"
+           R"("framing_overhead_bits":25,"time_us":)" +
+           time_us +
+           R"(,"phases":{"reader_vector":-0,)"
+           R"("command":4.9406564584124654e-324,)"
+           R"("turnaround":0.10000000000000001,"tag_reply":1e+17,)"
+           R"("wasted_slot":inf,"recovery":-inf}})";
+  };
+  const std::string totals = metrics_json(
+      R"(0,"missing":1,"corrupted":0,"retries":3,"undelivered":0)",
+      "1000000000000", "0.30000000000000004");
+  std::ostringstream metrics_os;
+  obs::write_json(metrics_os, golden_metrics(0));
+  EXPECT_EQ(metrics_os.str(), totals);
+
+  const std::string snapshot_json =
+      R"({"type":"snapshot","sequence":42,"interval_s":0.30000000000000004,)"
+      R"("rounds_per_sec":1.2345678901234568e+17,"totals":)" +
+      totals + R"(,"readers":[{"metrics":)" +
+      metrics_json(
+          R"(1,"missing":2,"corrupted":0,"retries":3,"undelivered":7)",
+          "1000000000001", "1.3") +
+      R"(,"ber_estimate":-0,"epochs":0,"retry_budget":8,"health":"healthy",)"
+      R"("crashes":0,"restarts":0},{"metrics":)" +
+      metrics_json(
+          R"(2,"missing":3,"corrupted":0,"retries":3,"undelivered":14)",
+          "1000000000002", "2.2999999999999998") +
+      R"(,"ber_estimate":9.9999999999999995e-08,"epochs":5,)"
+      R"("retry_budget":8,"health":"down","crashes":1,"restarts":0},)"
+      R"({"metrics":)" +
+      metrics_json(
+          R"(3,"missing":4,"corrupted":0,"retries":3,"undelivered":21)",
+          "1000000000003", "3.2999999999999998") +
+      R"(,"ber_estimate":nan,"epochs":10,"retry_budget":8,)"
+      R"("health":"recovering","crashes":2,"restarts":1}],)"
+      R"("channels":[{"readers":2,"rounds":77,)"
+      R"("busy_us":1.0000000000000001e+300},)"
+      R"({"readers":1,"rounds":0,"busy_us":-nan}],)"
+      R"("handoffs":5,"churn_departures":6})";
+  EXPECT_EQ(obs::to_json(golden_snapshot()), snapshot_json);
+
+  const obs::StreamEvent event{obs::StreamEvent::Kind::kReaderRecovered, 2,
+                               7, 42, 1234567.8901234567};
+  EXPECT_EQ(obs::to_json(event),
+            R"({"type":"event","event":"reader_recovered","reader":2,)"
+            R"("count":7,"sequence":42,"sim_time_us":1234567.8901234567})");
 }
 
 TEST(ParseArgs, ParseU64AcceptsOnlyCleanDigits) {
