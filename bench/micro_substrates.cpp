@@ -3,14 +3,19 @@
 // simulator itself can turn over rounds.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/crc.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "obs/stream.hpp"
 #include "protocols/polling_tree.hpp"
 #include "protocols/tree_polling.hpp"
+#include "sim/checkpoint.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -44,6 +49,17 @@ void BM_Crc16OfId(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Crc16OfId);
+
+void BM_Crc16(benchmark::State& state) {
+  // 17 KiB: one 64-reader fleet checkpoint's payload.
+  Xoshiro256ss rng(7);
+  std::vector<std::uint8_t> bytes(17 * 1024);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) benchmark::DoNotOptimize(crc16_ccitt(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc16);
 
 void BM_BitVecAppend(benchmark::State& state) {
   for (auto _ : state) {
@@ -113,5 +129,61 @@ void BM_TppFullSession(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TppFullSession)->Arg(1000)->Arg(10000);
+
+/// A 64-reader, 8-channel fleet's telemetry, as the per-tick publish
+/// folds it: every reader with live counters and phase times.
+std::shared_ptr<const obs::MetricsSnapshot> fleet_snapshot() {
+  constexpr std::size_t kReaders = 64;
+  obs::StreamingAggregator aggregator(kReaders);
+  aggregator.configure_channels(8);
+  Xoshiro256ss rng(8);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    obs::Metrics metrics;
+    metrics.polls = rng.below(20000);
+    metrics.rounds = rng.below(400);
+    metrics.vector_bits = rng.below(1u << 20);
+    metrics.time_us = rng.uniform01() * 1e6;
+    for (double& us : metrics.phases.us) us = rng.uniform01() * 1e5;
+    aggregator.update_reader(r, metrics, rng.uniform01() * 1e-3);
+  }
+  for (std::size_t c = 0; c < 8; ++c)
+    aggregator.update_channel(c, kReaders / 8, rng.below(3000),
+                              rng.uniform01() * 1e6);
+  return aggregator.publish(0.05);
+}
+
+void BM_CheckpointEncodeInto(benchmark::State& state) {
+  sim::Checkpoint checkpoint;
+  const auto snapshot = fleet_snapshot();
+  for (const obs::ReaderTelemetry& reader : snapshot->readers) {
+    sim::ReaderCheckpoint entry;
+    entry.epochs = reader.epochs;
+    entry.completed = reader.metrics;
+    checkpoint.readers.push_back(entry);
+  }
+  std::vector<std::uint8_t> bytes;
+  sim::encode_into(checkpoint, bytes);  // warm the buffer
+  for (auto _ : state) {
+    sim::encode_into(checkpoint, bytes);
+    benchmark::DoNotOptimize(bytes.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_CheckpointEncodeInto);
+
+void BM_SnapshotAppendJson(benchmark::State& state) {
+  const auto snapshot = fleet_snapshot();
+  std::string json;
+  obs::append_json(json, *snapshot);  // warm the buffer
+  for (auto _ : state) {
+    json.clear();
+    obs::append_json(json, *snapshot);
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(json.size()));
+}
+BENCHMARK(BM_SnapshotAppendJson);
 
 }  // namespace

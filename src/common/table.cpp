@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace rfid {
 
@@ -49,9 +49,7 @@ void TablePrinter::print(std::ostream& os) const {
 }
 
 std::string TablePrinter::num(double value, int digits) {
-  std::ostringstream oss;
-  oss << std::fixed << std::setprecision(digits) << value;
-  return oss.str();
+  return format_double(value, digits, FloatFormat::kFixed);
 }
 
 }  // namespace rfid

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "analysis/timing_model.hpp"
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace rfid::core {
 
@@ -92,17 +92,6 @@ std::vector<ComparisonRow> compare_protocols(
   return rows;
 }
 
-namespace {
-
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(12);
-  oss << value;
-  return oss.str();
-}
-
-}  // namespace
-
 void write_comparison_json(std::ostream& os,
                            std::span<const ComparisonRow> rows,
                            const ComparisonMeta& meta) {
@@ -120,9 +109,12 @@ void write_comparison_json(std::ostream& os,
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\n";
     os << "      \"protocol\": \"" << row.protocol << "\",\n";
-    os << "      \"avg_vector_bits\": " << num(row.avg_vector_bits) << ",\n";
-    os << "      \"avg_time_s\": " << num(row.avg_time_s) << ",\n";
-    os << "      \"ci95_time_s\": " << num(row.ci95_time_s) << ",\n";
+    os << "      \"avg_vector_bits\": "
+       << format_double(row.avg_vector_bits, 12) << ",\n";
+    os << "      \"avg_time_s\": " << format_double(row.avg_time_s, 12)
+       << ",\n";
+    os << "      \"ci95_time_s\": " << format_double(row.ci95_time_s, 12)
+       << ",\n";
     os << "      \"trials\": " << row.trials << ",\n";
     os << "      \"totals\": {\n";
     os << "        \"polls\": " << t.polls << ",\n";
@@ -138,7 +130,7 @@ void write_comparison_json(std::ostream& os,
     os << "        \"vector_bits\": " << t.vector_bits << ",\n";
     os << "        \"command_bits\": " << t.command_bits << ",\n";
     os << "        \"tag_bits\": " << t.tag_bits << ",\n";
-    os << "        \"time_us\": " << num(t.time_us) << "\n";
+    os << "        \"time_us\": " << format_double(t.time_us, 12) << "\n";
     os << "      }\n";
     os << "    }";
   }

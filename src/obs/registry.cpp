@@ -1,18 +1,12 @@
 #include "obs/registry.hpp"
 
 #include <ostream>
-#include <sstream>
+
+#include "common/format.hpp"
 
 namespace rfid::obs {
 
 namespace {
-
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(12);
-  oss << value;
-  return oss.str();
-}
 
 std::string indent_of(int indent, int depth) {
   return indent <= 0 ? std::string()
@@ -70,15 +64,21 @@ void MetricsRegistry::write_json(std::ostream& os, int indent) const {
     first = false;
     os << indent_of(indent, 2) << '"' << name << "\": {";
     os << indent_of(indent, 3) << "\"count\": " << h.count() << ',';
-    os << indent_of(indent, 3) << "\"sum\": " << num(h.sum()) << ',';
-    os << indent_of(indent, 3) << "\"mean\": " << num(h.mean()) << ',';
-    os << indent_of(indent, 3) << "\"min\": " << num(h.min()) << ',';
-    os << indent_of(indent, 3) << "\"max\": " << num(h.max()) << ',';
-    os << indent_of(indent, 3) << "\"p50\": " << num(h.quantile(0.5)) << ',';
-    os << indent_of(indent, 3) << "\"p99\": " << num(h.quantile(0.99)) << ',';
+    os << indent_of(indent, 3) << "\"sum\": "
+       << format_double(h.sum(), 12) << ',';
+    os << indent_of(indent, 3) << "\"mean\": "
+       << format_double(h.mean(), 12) << ',';
+    os << indent_of(indent, 3) << "\"min\": "
+       << format_double(h.min(), 12) << ',';
+    os << indent_of(indent, 3) << "\"max\": "
+       << format_double(h.max(), 12) << ',';
+    os << indent_of(indent, 3) << "\"p50\": "
+       << format_double(h.quantile(0.5), 12) << ',';
+    os << indent_of(indent, 3) << "\"p99\": "
+       << format_double(h.quantile(0.99), 12) << ',';
     os << indent_of(indent, 3) << "\"edges\": [";
     for (std::size_t i = 0; i < h.edges().size(); ++i)
-      os << (i == 0 ? "" : ", ") << num(h.edges()[i]);
+      os << (i == 0 ? "" : ", ") << format_double(h.edges()[i], 12);
     os << "],";
     os << indent_of(indent, 3) << "\"counts\": [";
     for (std::size_t i = 0; i < h.counts().size(); ++i)

@@ -1,49 +1,72 @@
 #include "obs/stream.hpp"
 
 #include <chrono>
+#include <concepts>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "common/format.hpp"
 
 namespace rfid::obs {
 
 namespace {
 
-/// Round-trippable double formatting, matching the trace JSONL convention.
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << value;
-  return oss.str();
+/// Significant digits of every double: %.17g round-trips, matching the
+/// trace JSONL convention.
+constexpr int kDigits = 17;
+
+template <std::integral T>
+void put(std::string& out, std::string_view key, T value) {
+  out += key;
+  append_int(out, value);
+}
+
+void put(std::string& out, std::string_view key, double value) {
+  out += key;
+  append_double(out, value, kDigits);
 }
 
 }  // namespace
 
-void write_json(std::ostream& os, const Metrics& m) {
-  os << R"({"polls":)" << m.polls << R"(,"missing":)" << m.missing
-     << R"(,"corrupted":)" << m.corrupted << R"(,"retries":)" << m.retries
-     << R"(,"undelivered":)" << m.undelivered << R"(,"rounds":)" << m.rounds
-     << R"(,"circles":)" << m.circles << R"(,"slots_total":)" << m.slots_total
-     << R"(,"slots_useful":)" << m.slots_useful << R"(,"slots_wasted":)"
-     << m.slots_wasted << R"(,"vector_bits":)" << m.vector_bits
-     << R"(,"command_bits":)" << m.command_bits << R"(,"tag_bits":)"
-     << m.tag_bits << R"(,"segments_sent":)" << m.segments_sent
-     << R"(,"segments_corrupted":)" << m.segments_corrupted
-     << R"(,"segments_retransmitted":)" << m.segments_retransmitted
-     << R"(,"downlink_corrupted":)" << m.downlink_corrupted
-     << R"(,"degradations":)" << m.degradations
-     << R"(,"reader_crashes":)" << m.reader_crashes
-     << R"(,"reader_stalls":)" << m.reader_stalls
-     << R"(,"reader_restarts":)" << m.reader_restarts
-     << R"(,"handoffs":)" << m.handoffs
-     << R"(,"framing_overhead_bits":)" << m.framing_overhead_bits
-     << R"(,"time_us":)" << num(m.time_us) << R"(,"phases":{)";
+void append_json(std::string& out, const Metrics& m) {
+  put(out, R"({"polls":)", m.polls);
+  put(out, R"(,"missing":)", m.missing);
+  put(out, R"(,"corrupted":)", m.corrupted);
+  put(out, R"(,"retries":)", m.retries);
+  put(out, R"(,"undelivered":)", m.undelivered);
+  put(out, R"(,"rounds":)", m.rounds);
+  put(out, R"(,"circles":)", m.circles);
+  put(out, R"(,"slots_total":)", m.slots_total);
+  put(out, R"(,"slots_useful":)", m.slots_useful);
+  put(out, R"(,"slots_wasted":)", m.slots_wasted);
+  put(out, R"(,"vector_bits":)", m.vector_bits);
+  put(out, R"(,"command_bits":)", m.command_bits);
+  put(out, R"(,"tag_bits":)", m.tag_bits);
+  put(out, R"(,"segments_sent":)", m.segments_sent);
+  put(out, R"(,"segments_corrupted":)", m.segments_corrupted);
+  put(out, R"(,"segments_retransmitted":)", m.segments_retransmitted);
+  put(out, R"(,"downlink_corrupted":)", m.downlink_corrupted);
+  put(out, R"(,"degradations":)", m.degradations);
+  put(out, R"(,"reader_crashes":)", m.reader_crashes);
+  put(out, R"(,"reader_stalls":)", m.reader_stalls);
+  put(out, R"(,"reader_restarts":)", m.reader_restarts);
+  put(out, R"(,"handoffs":)", m.handoffs);
+  put(out, R"(,"framing_overhead_bits":)", m.framing_overhead_bits);
+  put(out, R"(,"time_us":)", m.time_us);
+  out += R"(,"phases":{)";
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    os << (p == 0 ? "" : ",") << '"' << to_string(static_cast<Phase>(p))
-       << R"(":)" << num(m.phases.us[p]);
+    out += p == 0 ? "\"" : ",\"";
+    out += to_string(static_cast<Phase>(p));
+    put(out, R"(":)", m.phases.us[p]);
   }
-  os << "}}";
+  out += "}}";
+}
+
+void write_json(std::ostream& os, const Metrics& metrics) {
+  std::string out;
+  append_json(out, metrics);
+  os << out;
 }
 
 std::string_view to_string(StreamEvent::Kind kind) noexcept {
@@ -62,52 +85,65 @@ std::string_view to_string(StreamEvent::Kind kind) noexcept {
   return "unknown";
 }
 
-void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << R"({"type":"snapshot","sequence":)" << snapshot.sequence
-     << R"(,"interval_s":)" << num(snapshot.interval_s)
-     << R"(,"rounds_per_sec":)" << num(snapshot.rounds_per_sec)
-     << R"(,"totals":)";
-  write_json(os, snapshot.totals);
-  os << R"(,"readers":[)";
+void append_json(std::string& out, const MetricsSnapshot& snapshot) {
+  put(out, R"({"type":"snapshot","sequence":)", snapshot.sequence);
+  put(out, R"(,"interval_s":)", snapshot.interval_s);
+  put(out, R"(,"rounds_per_sec":)", snapshot.rounds_per_sec);
+  out += R"(,"totals":)";
+  append_json(out, snapshot.totals);
+  out += R"(,"readers":[)";
   for (std::size_t r = 0; r < snapshot.readers.size(); ++r) {
     const ReaderTelemetry& reader = snapshot.readers[r];
-    os << (r == 0 ? "" : ",") << R"({"metrics":)";
-    write_json(os, reader.metrics);
-    os << R"(,"ber_estimate":)" << num(reader.ber_estimate) << R"(,"epochs":)"
-       << reader.epochs << R"(,"retry_budget":)" << reader.retry_budget
-       << R"(,"health":")" << to_string(reader.health) << R"(","crashes":)"
-       << reader.crashes << R"(,"restarts":)" << reader.restarts << '}';
+    out += r == 0 ? R"({"metrics":)" : R"(,{"metrics":)";
+    append_json(out, reader.metrics);
+    put(out, R"(,"ber_estimate":)", reader.ber_estimate);
+    put(out, R"(,"epochs":)", reader.epochs);
+    put(out, R"(,"retry_budget":)", reader.retry_budget);
+    out += R"(,"health":")";
+    out += to_string(reader.health);
+    put(out, R"(","crashes":)", reader.crashes);
+    put(out, R"(,"restarts":)", reader.restarts);
+    out += '}';
   }
-  os << "]";
+  out += ']';
   // Deployment-mode extras: emitted only when channels are configured, so
   // warehouse-mode snapshots keep their exact pre-channel byte layout.
   if (!snapshot.channels.empty()) {
-    os << R"(,"channels":[)";
+    out += R"(,"channels":[)";
     for (std::size_t c = 0; c < snapshot.channels.size(); ++c) {
       const ChannelTelemetry& channel = snapshot.channels[c];
-      os << (c == 0 ? "" : ",") << R"({"readers":)" << channel.readers
-         << R"(,"rounds":)" << channel.rounds << R"(,"busy_us":)"
-         << num(channel.busy_us) << '}';
+      put(out, c == 0 ? R"({"readers":)" : R"(,{"readers":)",
+          channel.readers);
+      put(out, R"(,"rounds":)", channel.rounds);
+      put(out, R"(,"busy_us":)", channel.busy_us);
+      out += '}';
     }
-    os << R"(],"handoffs":)" << snapshot.fleet_handoffs
-       << R"(,"churn_departures":)" << snapshot.fleet_churn_departures;
+    put(out, R"(],"handoffs":)", snapshot.fleet_handoffs);
+    put(out, R"(,"churn_departures":)", snapshot.fleet_churn_departures);
   }
-  os << "}";
+  out += '}';
+}
+
+void append_json(std::string& out, const StreamEvent& event) {
+  out += R"({"type":"event","event":")";
+  out += to_string(event.kind);
+  put(out, R"(","reader":)", event.reader);
+  put(out, R"(,"count":)", event.count);
+  put(out, R"(,"sequence":)", event.sequence);
+  put(out, R"(,"sim_time_us":)", event.sim_time_us);
+  out += '}';
 }
 
 std::string to_json(const MetricsSnapshot& snapshot) {
-  std::ostringstream oss;
-  write_json(oss, snapshot);
-  return oss.str();
+  std::string out;
+  append_json(out, snapshot);
+  return out;
 }
 
 std::string to_json(const StreamEvent& event) {
-  std::ostringstream oss;
-  oss << R"({"type":"event","event":")" << to_string(event.kind)
-      << R"(","reader":)" << event.reader << R"(,"count":)" << event.count
-      << R"(,"sequence":)" << event.sequence << R"(,"sim_time_us":)"
-      << num(event.sim_time_us) << '}';
-  return oss.str();
+  std::string out;
+  append_json(out, event);
+  return out;
 }
 
 // --- StreamSubscription -----------------------------------------------------

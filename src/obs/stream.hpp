@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -104,18 +105,22 @@ struct MetricsSnapshot final {
   std::uint64_t fleet_churn_departures = 0;
 };
 
-/// Deterministic compact JSON (one object, one line, precision-17 doubles).
-/// Byte-stable for equal snapshots — serial vs pooled folds that produce
-/// identical metrics serialize identically (tested in tests/test_obs.cpp).
-void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
+/// Deterministic compact JSON (one object, one line, %.17g doubles),
+/// appended to `out`. Byte-stable for equal snapshots — serial vs pooled
+/// folds that produce identical metrics serialize identically (tested in
+/// tests/test_obs.cpp). A warm append into a reused buffer whose capacity
+/// already fits the snapshot allocates nothing.
+void append_json(std::string& out, const MetricsSnapshot& snapshot);
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot);
 
 /// One Metrics struct in the same byte-stable conventions; reused by the
 /// snapshot writer above and by crash-consistent final-metrics reports
 /// (core/warehouse.hpp), so both surfaces stay field-for-field identical.
+void append_json(std::string& out, const Metrics& metrics);
 void write_json(std::ostream& os, const Metrics& metrics);
 
 /// JSON for one synthesized event (same conventions as snapshot JSON).
+void append_json(std::string& out, const StreamEvent& event);
 [[nodiscard]] std::string to_json(const StreamEvent& event);
 
 /// A bounded, drop-oldest queue of published items, one per consumer.

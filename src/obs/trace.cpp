@@ -2,8 +2,9 @@
 
 #include <array>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/format.hpp"
 
 namespace rfid::obs {
 
@@ -15,14 +16,6 @@ constexpr std::array<std::string_view, kEventKindCount> kKindNames{
     "slot_collision",   "round_begin", "circle_begin",
     "segment_corrupted", "degrade",
 };
-
-/// Round-trippable double formatting for the JSONL stream.
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << value;
-  return oss.str();
-}
 
 }  // namespace
 
@@ -81,14 +74,17 @@ void JsonlSink::write_meta() {
 }
 
 void JsonlSink::on_event(const Event& event) {
+  // Precision-17 doubles round-trip, so a replay sums to the same clock.
+  constexpr int kDigits = 17;
   *os_ << R"({"type":"event","event":")" << to_string(event.kind)
        << R"(","round":)" << event.round << R"(,"circle":)" << event.circle
        << R"(,"vector_bits":)" << event.vector_bits << R"(,"command_bits":)"
        << event.command_bits << R"(,"tag_bits":)" << event.tag_bits
-       << R"(,"time_us":)" << num(event.time_us) << R"(,"duration_us":)"
-       << num(event.duration_us) << R"(,"reader_us":)" << num(event.reader_us)
-       << R"(,"tag_us":)" << num(event.tag_us) << R"(,"detail":)"
-       << event.detail << "}\n";
+       << R"(,"time_us":)" << format_double(event.time_us, kDigits)
+       << R"(,"duration_us":)" << format_double(event.duration_us, kDigits)
+       << R"(,"reader_us":)" << format_double(event.reader_us, kDigits)
+       << R"(,"tag_us":)" << format_double(event.tag_us, kDigits)
+       << R"(,"detail":)" << event.detail << "}\n";
 }
 
 void JsonlSink::on_finish() { os_->flush(); }

@@ -1,23 +1,12 @@
 #include "serve/telemetry_service.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <string>
 
+#include "common/format.hpp"
 #include "serve/dashboard.hpp"
 
 namespace rfid::serve {
-
-namespace {
-
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << value;
-  return oss.str();
-}
-
-}  // namespace
 
 TelemetryService::TelemetryService(obs::StreamingAggregator& aggregator)
     : TelemetryService(aggregator, Config{}) {}
@@ -78,7 +67,7 @@ HttpResponse TelemetryService::healthz() const {
   HttpResponse response;
   response.body = std::string(R"({"status":")") +
                   (all_healthy ? "ok" : "degraded") + R"(","uptime_s":)" +
-                  num(uptime_s) + R"(,"wall_unix_ms":)" +
+                  format_double(uptime_s, 17) + R"(,"wall_unix_ms":)" +
                   std::to_string(wall_unix_ms) + R"(,"readers":)" +
                   std::to_string(aggregator_.reader_count()) +
                   R"(,"reader_health":)" + health + R"(,"snapshots":)" +
@@ -94,7 +83,7 @@ HttpResponse TelemetryService::metrics_json() const {
     response.body = R"({"error":"no snapshot published yet"})";
     return response;
   }
-  response.body = obs::to_json(*snapshot);
+  obs::append_json(response.body, *snapshot);
   return response;
 }
 
@@ -103,10 +92,20 @@ void TelemetryService::events(StreamWriter& writer) const {
   std::uint64_t reported_drops = 0;
   unsigned idle_waits = 0;
 
+  // Every frame is built in this one buffer, so a steady stream reuses its
+  // capacity.
+  std::string frame;
+  const auto snapshot_frame = [&frame](const obs::MetricsSnapshot& snapshot) {
+    frame = "event: snapshot\ndata: ";
+    obs::append_json(frame, snapshot);
+    frame += "\n\n";
+  };
+
   // Late joiners get the current state immediately instead of waiting a
   // full publish interval for their first frame.
   if (const auto latest = aggregator_.latest(); latest != nullptr) {
-    writer.write("event: snapshot\ndata: " + obs::to_json(*latest) + "\n\n");
+    snapshot_frame(*latest);
+    writer.write(frame);
   }
 
   while (writer.alive()) {
@@ -121,25 +120,26 @@ void TelemetryService::events(StreamWriter& writer) const {
     }
     idle_waits = 0;
 
-    bool ok = true;
     if (item->type == obs::StreamSubscription::Item::Type::kSnapshot) {
-      ok = writer.write("event: snapshot\ndata: " +
-                        obs::to_json(*item->snapshot) + "\n\n");
+      snapshot_frame(*item->snapshot);
     } else {
-      ok = writer.write("event: " +
-                        std::string(obs::to_string(item->event.kind)) +
-                        "\ndata: " + obs::to_json(item->event) + "\n\n");
+      frame = "event: ";
+      frame += obs::to_string(item->event.kind);
+      frame += "\ndata: ";
+      obs::append_json(frame, item->event);
+      frame += "\n\n";
     }
-    if (!ok) break;
+    if (!writer.write(frame)) break;
 
     // Tell the client its own queue overflowed (drop-oldest policy): the
     // stream stays live under backpressure but is no longer gap-free.
     if (const std::uint64_t drops = subscription->dropped();
         drops != reported_drops) {
       reported_drops = drops;
-      if (!writer.write("event: drops\ndata: {\"dropped\":" +
-                        std::to_string(drops) + "}\n\n"))
-        break;
+      frame = "event: drops\ndata: {\"dropped\":";
+      append_int(frame, drops);
+      frame += "}\n\n";
+      if (!writer.write(frame)) break;
     }
   }
   aggregator_.unsubscribe(subscription);

@@ -15,6 +15,7 @@
 #include <system_error>
 
 #include "common/crc.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/phase_timer.hpp"
 
@@ -25,54 +26,81 @@ namespace {
 constexpr std::array<std::uint8_t, 8> kMagic = {'R', 'F', 'I', 'D',
                                                 'C', 'K', 'P', 'T'};
 
-// All integers little-endian on the wire, written byte by byte so the
-// format is host-endianness-independent.
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic, version, CRC, size
+
+// Wire sizes of the fixed-shape records: 23 counters, the clock and the
+// phase split per Metrics; epochs, crashes, restarts and health per reader.
+constexpr std::size_t kMetricsSize = 8 * (23 + 1 + obs::kPhaseCount);
+constexpr std::size_t kReaderSize = 3 * 8 + 1 + kMetricsSize;
+
+/// Bytes encode_into() writes for `checkpoint`, header included.
+std::size_t encoded_size(const Checkpoint& checkpoint) {
+  std::size_t size = kHeaderSize + 4 * 8 + 4 +
+                     checkpoint.readers.size() * kReaderSize + 4;
+  for (const NamedRngState& stream : checkpoint.rng_streams) {
+    if (stream.name.size() > 255)
+      throw std::runtime_error("checkpoint: RNG stream name too long");
+    size += 1 + stream.name.size() + 8 * stream.state.size();
+  }
+  return size;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+/// Little-endian writer into a buffer sized up front. Each word is stored
+/// byte by byte from its value (the compiler merges the stores), so the
+/// format is host-endianness-independent.
+class Writer final {
+ public:
+  explicit Writer(std::uint8_t* at) : at_(at) {}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u8(std::uint8_t v) { *at_++ = v; }
+  void u32(std::uint32_t v) { little_endian(v, 4); }
+  void u64(std::uint64_t v) { little_endian(v, 8); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+  void bytes(const void* data, std::size_t n) {
+    std::memcpy(at_, data, n);
+    at_ += n;
+  }
 
-void put_metrics(std::vector<std::uint8_t>& out, const Metrics& m) {
-  put_u64(out, m.polls);
-  put_u64(out, m.missing);
-  put_u64(out, m.corrupted);
-  put_u64(out, m.retries);
-  put_u64(out, m.undelivered);
-  put_u64(out, m.rounds);
-  put_u64(out, m.circles);
-  put_u64(out, m.slots_total);
-  put_u64(out, m.slots_useful);
-  put_u64(out, m.slots_wasted);
-  put_u64(out, m.vector_bits);
-  put_u64(out, m.command_bits);
-  put_u64(out, m.tag_bits);
-  put_u64(out, m.segments_sent);
-  put_u64(out, m.segments_corrupted);
-  put_u64(out, m.segments_retransmitted);
-  put_u64(out, m.downlink_corrupted);
-  put_u64(out, m.degradations);
-  put_u64(out, m.reader_crashes);
-  put_u64(out, m.reader_stalls);
-  put_u64(out, m.reader_restarts);
-  put_u64(out, m.handoffs);
-  put_u64(out, m.framing_overhead_bits);
-  put_f64(out, m.time_us);
-  for (std::size_t p = 0; p < obs::kPhaseCount; ++p)
-    put_f64(out, m.phases.us[p]);
-}
+  void metrics(const Metrics& m) {
+    u64(m.polls);
+    u64(m.missing);
+    u64(m.corrupted);
+    u64(m.retries);
+    u64(m.undelivered);
+    u64(m.rounds);
+    u64(m.circles);
+    u64(m.slots_total);
+    u64(m.slots_useful);
+    u64(m.slots_wasted);
+    u64(m.vector_bits);
+    u64(m.command_bits);
+    u64(m.tag_bits);
+    u64(m.segments_sent);
+    u64(m.segments_corrupted);
+    u64(m.segments_retransmitted);
+    u64(m.downlink_corrupted);
+    u64(m.degradations);
+    u64(m.reader_crashes);
+    u64(m.reader_stalls);
+    u64(m.reader_restarts);
+    u64(m.handoffs);
+    u64(m.framing_overhead_bits);
+    f64(m.time_us);
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) f64(m.phases.us[p]);
+  }
+
+  [[nodiscard]] const std::uint8_t* position() const noexcept { return at_; }
+
+ private:
+  void little_endian(std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i)
+      at_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    at_ += n;
+  }
+
+  std::uint8_t* at_;
+};
 
 /// Bounds-checked little-endian reader over the payload span.
 class Cursor final {
@@ -171,50 +199,40 @@ std::uint64_t fingerprint_mix(std::uint64_t h, std::uint64_t value) noexcept {
 
 // rfidlint: hotpath(checkpoint-warm-encode)
 void encode_into(const Checkpoint& checkpoint, std::vector<std::uint8_t>& out) {
-  out.clear();
-  // Header: magic, version, CRC placeholder, payload size placeholder.
-  // rfidlint: allow(hotpath-alloc) — warm encodes reuse `out` capacity; test_checkpoint pins the zero-alloc warm path
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  put_u32(out, kCheckpointVersion);
-  const std::size_t crc_at = out.size();
-  put_u32(out, 0);
-  const std::size_t size_at = out.size();
-  put_u64(out, 0);
-  const std::size_t payload_at = out.size();
+  // Sized once; a warm buffer already holds this many bytes, so every byte
+  // below is overwritten in place.
+  // rfidlint: allow(hotpath-alloc) — warm encodes reuse `out` capacity; AllocGuard.CheckpointEncodeIntoWarmBufferAllocationFree pins the zero-alloc warm path
+  out.resize(encoded_size(checkpoint));
 
-  put_u64(out, checkpoint.config_fingerprint);
-  put_u64(out, checkpoint.master_seed);
-  put_u64(out, checkpoint.wall_unix_ms);
-  put_u64(out, checkpoint.epoch_target);
-  put_u32(out, static_cast<std::uint32_t>(checkpoint.readers.size()));
+  Writer payload{out.data() + kHeaderSize};
+  payload.u64(checkpoint.config_fingerprint);
+  payload.u64(checkpoint.master_seed);
+  payload.u64(checkpoint.wall_unix_ms);
+  payload.u64(checkpoint.epoch_target);
+  payload.u32(static_cast<std::uint32_t>(checkpoint.readers.size()));
   for (const ReaderCheckpoint& reader : checkpoint.readers) {
-    put_u64(out, reader.epochs);
-    put_u64(out, reader.crashes);
-    put_u64(out, reader.restarts);
-    put_u8(out, static_cast<std::uint8_t>(reader.health));
-    put_metrics(out, reader.completed);
+    payload.u64(reader.epochs);
+    payload.u64(reader.crashes);
+    payload.u64(reader.restarts);
+    payload.u8(static_cast<std::uint8_t>(reader.health));
+    payload.metrics(reader.completed);
   }
-  put_u32(out, static_cast<std::uint32_t>(checkpoint.rng_streams.size()));
+  payload.u32(static_cast<std::uint32_t>(checkpoint.rng_streams.size()));
   for (const NamedRngState& stream : checkpoint.rng_streams) {
-    if (stream.name.size() > 255)
-      throw std::runtime_error("checkpoint: RNG stream name too long");
-    put_u8(out, static_cast<std::uint8_t>(stream.name.size()));
-    // rfidlint: allow(hotpath-alloc) — warm encodes reuse `out` capacity; test_checkpoint pins the zero-alloc warm path
-    out.insert(out.end(), stream.name.begin(), stream.name.end());
-    for (const std::uint64_t word : stream.state) put_u64(out, word);
+    payload.u8(static_cast<std::uint8_t>(stream.name.size()));
+    payload.bytes(stream.name.data(), stream.name.size());
+    for (const std::uint64_t word : stream.state) payload.u64(word);
   }
+  RFID_ENSURES(payload.position() == out.data() + out.size());
 
-  // Backfill CRC and payload size now the payload exists.
-  const std::span<const std::uint8_t> payload{out.data() + payload_at,
-                                              out.size() - payload_at};
-  const std::uint32_t crc = crc16_ccitt(payload);
-  for (int i = 0; i < 4; ++i)
-    out[crc_at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  const std::uint64_t payload_size = payload.size();
-  for (int i = 0; i < 8; ++i)
-    out[size_at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(payload_size >> (8 * i));
+  // Header last: magic, version, then the CRC and size of the payload.
+  const std::span<const std::uint8_t> body{out.data() + kHeaderSize,
+                                           out.size() - kHeaderSize};
+  Writer header{out.data()};
+  header.bytes(kMagic.data(), kMagic.size());
+  header.u32(kCheckpointVersion);
+  header.u32(crc16_ccitt(body));
+  header.u64(body.size());
 }
 
 std::vector<std::uint8_t> encode(const Checkpoint& checkpoint) {
@@ -224,7 +242,6 @@ std::vector<std::uint8_t> encode(const Checkpoint& checkpoint) {
 }
 
 Checkpoint decode(std::span<const std::uint8_t> bytes) {
-  constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;
   if (bytes.size() < kHeaderSize)
     throw std::runtime_error("checkpoint: file shorter than header");
   if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin()))

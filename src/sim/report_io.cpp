@@ -3,6 +3,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/format.hpp"
+
 namespace rfid::sim {
 
 namespace {
@@ -95,13 +97,6 @@ class JsonWriter final {
   bool first_ = true;
 };
 
-std::string num(double value) {
-  std::ostringstream oss;
-  oss.precision(12);
-  oss << value;
-  return oss.str();
-}
-
 std::string u64(std::uint64_t value) { return std::to_string(value); }
 
 }  // namespace
@@ -112,8 +107,9 @@ void write_json(std::ostream& os, const RunResult& result,
   json.begin_object();
   json.key_string("protocol", result.protocol);
   json.key_value("population", u64(result.population));
-  json.key_value("avg_vector_bits", num(result.avg_vector_bits()));
-  json.key_value("exec_time_s", num(result.exec_time_s()));
+  json.key_value("avg_vector_bits",
+                 format_double(result.avg_vector_bits(), 12));
+  json.key_value("exec_time_s", format_double(result.exec_time_s(), 12));
 
   // Fault-layer fields (retries, undelivered, the recovery phase and the
   // undelivered_ids array) are emitted only for runs configured with a
@@ -142,7 +138,7 @@ void write_json(std::ostream& os, const RunResult& result,
   json.key_value("vector_bits", u64(m.vector_bits));
   json.key_value("command_bits", u64(m.command_bits));
   json.key_value("tag_bits", u64(m.tag_bits));
-  json.key_value("time_us", num(m.time_us));
+  json.key_value("time_us", format_double(m.time_us, 12));
   static_assert(static_cast<std::size_t>(obs::Phase::kRecovery) ==
                     obs::kPhaseCount - 1,
                 "the recovery phase must stay last so it can be elided");
@@ -152,7 +148,7 @@ void write_json(std::ostream& os, const RunResult& result,
   for (std::size_t p = 0; p < phase_count; ++p) {
     const auto phase = static_cast<obs::Phase>(p);
     json.key_value(std::string(obs::to_string(phase)),
-                   num(m.phases.get(phase)));
+                   format_double(m.phases.get(phase), 12));
   }
   json.end_object();
   json.end_object();
@@ -192,11 +188,13 @@ void write_json(std::ostream& os, const RunResult& result,
       json.key_value("round", u64(snapshot.round));
       json.key_value("polls", u64(snapshot.polls_so_far));
       json.key_value("vector_bits", u64(snapshot.vector_bits_so_far));
-      json.key_value("time_us", num(snapshot.time_us_so_far));
+      json.key_value("time_us",
+                     format_double(snapshot.time_us_so_far, 12));
       for (std::size_t p = 0; p < phase_count; ++p) {
         const auto phase = static_cast<obs::Phase>(p);
         json.key_value(std::string(obs::to_string(phase)) + "_us",
-                       num(snapshot.phases_so_far.get(phase)));
+                       format_double(snapshot.phases_so_far.get(phase),
+                                     12));
       }
       json.end_object();
     }

@@ -30,6 +30,7 @@
 #include "core/deployment.hpp"
 #include "fault/recovery.hpp"
 #include "fault/supervisor.hpp"
+#include "obs/stream.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
@@ -199,6 +200,39 @@ TEST(AllocGuard, CheckpointEncodeIntoWarmBufferAllocationFree) {
   const alloc_guard::Probe probe;
   for (int i = 0; i < 100; ++i) sim::encode_into(checkpoint, buffer);
   EXPECT_EQ(probe.delta(), 0u);
+}
+
+TEST(AllocGuard, SnapshotAppendJsonWarmBufferAllocationFree) {
+  // /metrics.json and every SSE frame serialise the snapshot into a reused
+  // buffer; once it has grown to the snapshot's size, re-serialising the
+  // snapshot (and an event after it) allocates nothing.
+  obs::StreamingAggregator aggregator(64);
+  aggregator.configure_channels(8);
+  for (std::size_t r = 0; r < 64; ++r) {
+    obs::Metrics metrics;
+    metrics.polls = 1000 + r;
+    metrics.rounds = 17 * r;
+    metrics.time_us = 1234.5678 * static_cast<double>(r + 1);
+    metrics.phases.add(obs::Phase::kTagReply, 0.1 * static_cast<double>(r));
+    aggregator.update_reader(r, metrics, 1e-4);
+  }
+  for (std::size_t c = 0; c < 8; ++c)
+    aggregator.update_channel(c, 8, 100 + c, 3.25 * static_cast<double>(c));
+  const auto snapshot = aggregator.publish(0.5);
+  const obs::StreamEvent event{obs::StreamEvent::Kind::kEpoch, 3, 1, 1, 2.5};
+
+  std::string buffer;
+  obs::append_json(buffer, *snapshot);  // cold: grows the buffer
+  obs::append_json(buffer, event);
+  const std::size_t size = buffer.size();
+  const alloc_guard::Probe probe;
+  for (int i = 0; i < 100; ++i) {
+    buffer.clear();
+    obs::append_json(buffer, *snapshot);
+    obs::append_json(buffer, event);
+  }
+  EXPECT_EQ(probe.delta(), 0u);
+  EXPECT_EQ(buffer.size(), size);
 }
 
 TEST(AllocGuard, EhppCircleSetupBoundedByCircles) {

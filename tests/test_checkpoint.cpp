@@ -95,6 +95,29 @@ TEST(CheckpointCodec, EncodeIntoReusesBufferAndMatchesEncode) {
   EXPECT_EQ(buffer, sim::encode(checkpoint));
 }
 
+TEST(CheckpointCodec, WireBytesArePinned) {
+  // The on-disk layout is a compatibility contract (kCheckpointVersion
+  // names it): the FNV-1a digest below was taken from the byte-at-a-time
+  // encoder, so any layout, endianness or CRC change fails here.
+  const std::vector<std::uint8_t> bytes = sim::encode(sample_checkpoint());
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    fnv ^= b;
+    fnv *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(bytes.size(), 636u);
+  EXPECT_EQ(fnv, 0xd573daaa7494bc49ull);
+
+  // A warm buffer that last held a larger checkpoint shrinks to the same
+  // bytes.
+  sim::Checkpoint larger = sample_checkpoint();
+  larger.readers.resize(9);
+  std::vector<std::uint8_t> buffer;
+  sim::encode_into(larger, buffer);
+  sim::encode_into(sample_checkpoint(), buffer);
+  EXPECT_EQ(buffer, bytes);
+}
+
 TEST(CheckpointCodec, CorruptionIsRefusedLoudly) {
   std::vector<std::uint8_t> bytes = sim::encode(sample_checkpoint());
 

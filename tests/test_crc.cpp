@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,49 @@ TEST(Crc16, CheckValue123456789) {
 
 TEST(Crc16, EmptyInputIsInitValue) {
   EXPECT_EQ(crc16_ccitt({}), 0xFFFF);
+}
+
+/// Bit-serial CRC-16/CCITT-FALSE, independent of the table-driven code.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> bytes) {
+  std::uint16_t crc = 0xFFFF;
+  for (const std::uint8_t b : bytes) {
+    crc = static_cast<std::uint16_t>(crc ^ (b << 8));
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
+                                                       : (crc << 1));
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Slicing-by-8 eats 8-byte blocks and finishes the tail bytewise: every
+  // length 0..64 at every start offset 0..7 covers each block/tail split
+  // and every alignment of the first block.
+  Xoshiro256ss rng(4);
+  std::vector<std::uint8_t> buffer(8 + 64);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::uint8_t> bytes{buffer.data() + offset,
+                                                length};
+      EXPECT_EQ(crc16_ccitt(bytes), crc16_bitwise(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc16, MatchesBitwiseReferenceOnRandomBuffersUpTo17KiB) {
+  // 17 KiB is the size of a 64-reader fleet checkpoint.
+  Xoshiro256ss rng(5);
+  std::vector<std::uint8_t> buffer(17 * 1024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t length = rng() % (buffer.size() + 1);
+    for (std::size_t i = 0; i < length; ++i)
+      buffer[i] = static_cast<std::uint8_t>(rng());
+    const std::span<const std::uint8_t> bytes{buffer.data(), length};
+    EXPECT_EQ(crc16_ccitt(bytes), crc16_bitwise(bytes)) << "length " << length;
+  }
 }
 
 TEST(Crc16, SingleByteDiffersFromInit) {
