@@ -35,22 +35,21 @@ int main() {
   constexpr double kAlertCelsius = 8.0;
 
   Xoshiro256ss rng(77);
-  std::vector<tags::Tag> sensor_tags;
-  sensor_tags.reserve(kPallets);
+  const auto base = tags::TagPopulation::uniform_random(kPallets, rng);
+  std::vector<BitVec> readings;
+  readings.reserve(kPallets);
   std::size_t hot_truth = 0;
-  {
-    const auto base = tags::TagPopulation::uniform_random(kPallets, rng);
-    for (const tags::Tag& tag : base) {
-      // Most pallets sit at 2..6 C; a compressor fault warms a few.
-      double celsius = 2.0 + 4.0 * rng.uniform01();
-      if (rng.bernoulli(0.004)) {
-        celsius = 9.0 + 3.0 * rng.uniform01();
-        ++hot_truth;
-      }
-      sensor_tags.emplace_back(tag.id(), encode_temperature(celsius));
+  for (std::size_t i = 0; i < kPallets; ++i) {
+    // Most pallets sit at 2..6 C; a compressor fault warms a few.
+    double celsius = 2.0 + 4.0 * rng.uniform01();
+    if (rng.bernoulli(0.004)) {
+      celsius = 9.0 + 3.0 * rng.uniform01();
+      ++hot_truth;
     }
+    readings.push_back(encode_temperature(celsius));
   }
-  const tags::TagPopulation room{std::move(sensor_tags)};
+  const tags::TagPopulation room(
+      std::vector<tags::Tag>(base.begin(), base.end()), std::move(readings));
 
   sim::SessionConfig config;
   config.info_bits = 16;

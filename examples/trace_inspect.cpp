@@ -116,8 +116,14 @@ class TraceStats final {
       case obs::EventKind::kCircleBegin:
         ++circles_;
         break;
+      case obs::EventKind::kSegmentCorrupted:
+        // The NACK listen window after a corrupted framed segment is
+        // recovery cost, as phy::Downlink charges it.
+        phases_.add(obs::Phase::kRecovery, duration);
+        break;
       case obs::EventKind::kPoll:
-        break;  // airtime rides on the outcome event
+      case obs::EventKind::kDegrade:
+        break;  // airtime rides on the outcome event; a tier change has none
     }
     return true;
   }

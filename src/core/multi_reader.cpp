@@ -1,6 +1,7 @@
 #include "core/multi_reader.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -22,16 +23,23 @@ MultiReaderReport run_multi_reader(const tags::TagPopulation& population,
   RFID_EXPECTS(config.readers >= 1);
   const auto protocol = protocols::make_protocol(config.kind);
 
-  // Partition the inventory by hashed zone assignment.
+  // Partition the inventory by hashed zone assignment; stored payloads, if
+  // any, follow their tags into the zone.
+  const std::span<const BitVec> payloads = population.payloads();
   std::vector<std::vector<tags::Tag>> shares(config.readers);
-  for (const tags::Tag& tag : population)
-    shares[reader_of(tag.id(), config.readers, config.partition_seed)]
-        .push_back(tag);
+  std::vector<std::vector<BitVec>> payload_shares(config.readers);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const std::size_t r =
+        reader_of(population[i].id(), config.readers, config.partition_seed);
+    shares[r].push_back(population[i]);
+    if (!payloads.empty()) payload_shares[r].push_back(payloads[i]);
+  }
 
   MultiReaderReport report;
   report.per_reader.reserve(config.readers);
   for (std::size_t r = 0; r < config.readers; ++r) {
-    const tags::TagPopulation zone(std::move(shares[r]));
+    const tags::TagPopulation zone(std::move(shares[r]),
+                                   std::move(payload_shares[r]));
     sim::SessionConfig session = config.session;
     session.seed = derive_seed(config.session.seed, r);
     report.per_reader.push_back(protocol->run(zone, session));

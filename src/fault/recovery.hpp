@@ -17,12 +17,13 @@
 // "re-poll tag i" callables supplied by the round engine.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/tag_id.hpp"
 #include "fault/fault_model.hpp"
 
@@ -59,16 +60,14 @@ class RecoveryCoordinator final {
   /// over the whole run, so a tag that fails across several rounds exhausts
   /// the same budget a tag failing repeatedly within one mop-up would.
   [[nodiscard]] bool take_attempt(const TagId& id) {
-    std::uint32_t& used = attempts_[id];
-    if (used >= config_.retry_budget) return false;
-    ++used;
+    if (attempts_.find(id) >= config_.retry_budget) return false;
+    attempts_.increment(id);
     return true;
   }
 
   /// Recovery attempts consumed by `id` so far.
   [[nodiscard]] std::uint32_t attempts(const TagId& id) const {
-    const auto it = attempts_.find(id);
-    return it == attempts_.end() ? 0u : it->second;
+    return attempts_.find(id);
   }
 
   [[nodiscard]] bool exhausted(const TagId& id) const {
@@ -169,11 +168,69 @@ class RecoveryCoordinator final {
   };
 
  private:
+  /// Per-tag attempt counts: an open-addressing table with linear probing
+  /// over 16-byte (ID, count) slots, power-of-two sized, load at most 0.8.
+  /// A count of 0 marks a free slot; entries are never removed, so no
+  /// probe chain ever breaks. Never iterated, so the hash order cannot leak
+  /// into any output.
+  class Ledger final {
+   public:
+    /// Attempts recorded for `id`; 0 when it has none.
+    [[nodiscard]] std::uint32_t find(const TagId& id) const noexcept {
+      if (slots_.empty()) return 0;
+      for (std::size_t i = home(id);; i = next(i)) {
+        const Slot& slot = slots_[i];
+        if (slot.count == 0 || slot.id == id) return slot.count;
+      }
+    }
+
+    void increment(const TagId& id) {
+      if ((used_ + 1) * 5 > slots_.size() * 4) grow();
+      for (std::size_t i = home(id);; i = next(i)) {
+        Slot& slot = slots_[i];
+        if (slot.count == 0) {
+          slot = Slot{id, 1};
+          ++used_;
+          return;
+        }
+        if (slot.id == id) {
+          ++slot.count;
+          return;
+        }
+      }
+    }
+
+   private:
+    struct Slot final {
+      TagId id;
+      std::uint32_t count = 0;
+    };
+
+    [[nodiscard]] std::size_t home(const TagId& id) const noexcept {
+      return static_cast<std::size_t>(mix64(id.fold64())) &
+             (slots_.size() - 1);
+    }
+    [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
+      return (i + 1) & (slots_.size() - 1);
+    }
+
+    void grow() {
+      std::vector<Slot> old(std::max<std::size_t>(64, slots_.size() * 2));
+      old.swap(slots_);
+      for (const Slot& entry : old) {
+        if (entry.count == 0) continue;
+        std::size_t i = home(entry.id);
+        while (slots_[i].count != 0) i = next(i);
+        slots_[i] = entry;
+      }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;  ///< slots holding a count
+  };
+
   RecoveryConfig config_;
-  /// Ordered on purpose: should a future diagnostic ever walk the retry
-  /// ledger (dumping per-tag attempts into a report), the iteration order
-  /// is the ID order, not the hash order — deterministic by construction.
-  std::map<TagId, std::uint32_t> attempts_;
+  Ledger attempts_;
   std::vector<std::size_t> still_;  ///< mop-up pass scratch (reused)
   std::uint32_t scope_depth_ = 0;
 };

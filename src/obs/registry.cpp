@@ -9,10 +9,10 @@ namespace rfid::obs {
 namespace {
 
 std::string indent_of(int indent, int depth) {
-  return indent <= 0 ? std::string()
-                     : "\n" + std::string(
-                                  static_cast<std::size_t>(indent * depth),
-                                  ' ');
+  if (indent <= 0) return {};
+  std::string out(1 + static_cast<std::size_t>(indent * depth), ' ');
+  out.front() = '\n';
+  return out;
 }
 
 }  // namespace

@@ -116,7 +116,8 @@ const tags::Tag* AirLoop::complete_reply(
   if (config_.keep_records) {
     records_.push_back(
         CollectedRecord{slot.responder->id(),
-                        slot.responder->reply_payload(config_.info_bits)});
+                        population_.reply_payload(*slot.responder,
+                                                      config_.info_bits)});
   }
   if (config_.tracer != nullptr)
     trace_event(obs::EventKind::kReply, dt, 0, 0, config_.info_bits,
@@ -340,7 +341,8 @@ air::SlotResult AirLoop::frame_slot_aloha(
       if (config_.keep_records) {
         records_.push_back(
             CollectedRecord{slot.responder->id(),
-                            slot.responder->reply_payload(config_.info_bits)});
+                            population_.reply_payload(*slot.responder,
+                                                       config_.info_bits)});
       }
       if (config_.tracer != nullptr)
         trace_event(obs::EventKind::kReply, dt, 0, 0, config_.info_bits,

@@ -38,13 +38,17 @@ enum class PollFailure : std::uint8_t {
 class AirLoop final {
  public:
   /// All references are borrowed from the owning session and must outlive
-  /// the loop. `missing_ids` and `records` are the session's result stores;
-  /// the loop appends to them under the same conditions Session always did.
-  AirLoop(const SessionConfig& config, Xoshiro256ss& protocol_rng, air::Channel& channel,
+  /// the loop. `population` owns every tag a poll can address and resolves
+  /// their reply payloads. `missing_ids` and `records` are the session's
+  /// result stores; the loop appends to them under the same conditions
+  /// Session always did.
+  AirLoop(const tags::TagPopulation& population, const SessionConfig& config,
+          Xoshiro256ss& protocol_rng, air::Channel& channel,
           fault::FaultInjector& injector, phy::Downlink& downlink,
           Metrics& metrics, std::vector<CollectedRecord>& records,
           std::vector<TagId>& missing_ids) noexcept
-      : config_(config),
+      : population_(population),
+        config_(config),
         protocol_rng_(protocol_rng),
         channel_(channel),
         injector_(injector),
@@ -169,6 +173,7 @@ class AirLoop final {
   /// turn-arounds in silence. Sets last_failure_ = kDownlinkCorrupted.
   void downlink_corrupt_timeout(double reader_time_us);
 
+  const tags::TagPopulation& population_;
   const SessionConfig& config_;
   Xoshiro256ss& protocol_rng_;
   air::Channel& channel_;

@@ -28,9 +28,10 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
                 " undelivered) out of " + std::to_string(population.size()));
   }
 
-  std::unordered_map<TagId, const tags::Tag*, TagIdHash> by_id;
+  std::unordered_map<TagId, std::size_t, TagIdHash> by_id;
   by_id.reserve(population.size());
-  for (const tags::Tag& tag : population) by_id.emplace(tag.id(), &tag);
+  for (std::size_t i = 0; i < population.size(); ++i)
+    by_id.emplace(population[i].id(), i);
 
   std::unordered_map<TagId, std::size_t, TagIdHash> seen;
   seen.reserve(accounted);
@@ -45,7 +46,7 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
     if (auto msg = account_once(record.id, "collection"); !msg.empty())
       return fail(std::move(msg));
     const BitVec expected =
-        by_id.at(record.id)->reply_payload(record.payload.size());
+        population.reply_payload(by_id.at(record.id), record.payload.size());
     if (!(expected == record.payload))
       return fail("payload mismatch for tag " + record.id.to_hex());
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 
 #include "common/error.hpp"
@@ -69,7 +70,10 @@ class IdIndex final {
 
 }  // namespace
 
-TagPopulation::TagPopulation(std::vector<Tag> tags) : tags_(std::move(tags)) {
+TagPopulation::TagPopulation(std::vector<Tag> tags,
+                             std::vector<BitVec> payloads)
+    : tags_(std::move(tags)), payloads_(std::move(payloads)) {
+  RFID_EXPECTS(payloads_.empty() || payloads_.size() == tags_.size());
   IdIndex index(tags_, tags_.size());
   for (std::size_t i = 0; i < tags_.size(); ++i) {
     const bool inserted = index.insert(tags_[i].id(), i) == IdIndex::kAbsent;
@@ -158,16 +162,30 @@ TagPopulation TagPopulation::prefix_clustered(std::size_t n,
 
 TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
                                                   Xoshiro256ss& id_rng) const {
-  std::vector<Tag> tags;
-  tags.reserve(tags_.size());
-  for (const Tag& tag : tags_) {
-    BitVec payload;
+  std::vector<BitVec> payloads(tags_.size());
+  for (BitVec& payload : payloads)
     for (std::size_t i = 0; i < bits; ++i)
       payload.push_back(id_rng.bernoulli(0.5));
-    tags.emplace_back(tag.id(), std::move(payload));
-  }
   // Same IDs as this already-validated population.
-  return TagPopulation(std::move(tags), UniqueIds{});
+  return TagPopulation(tags_, UniqueIds{}, std::move(payloads));
+}
+
+BitVec TagPopulation::reply_payload(std::size_t index, std::size_t bits) const {
+  RFID_EXPECTS(index < tags_.size());
+  if (!payloads_.empty() && payloads_[index].size() >= bits) {
+    const BitVec& stored = payloads_[index];
+    BitVec out;
+    for (std::size_t i = 0; i < bits; ++i) out.push_back(stored.bit(i));
+    return out;
+  }
+  return derived_payload(tags_[index].id(), bits);
+}
+
+BitVec TagPopulation::reply_payload(const Tag& tag, std::size_t bits) const {
+  const Tag* first = tags_.data();
+  RFID_EXPECTS(std::less_equal<>{}(first, &tag) &&
+               std::less<>{}(&tag, first + tags_.size()));
+  return reply_payload(static_cast<std::size_t>(&tag - first), bits);
 }
 
 }  // namespace rfid::tags

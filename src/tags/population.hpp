@@ -2,7 +2,9 @@
 //
 // The paper assumes the reader knows all tag IDs in advance (Section II-A);
 // a TagPopulation is exactly that shared knowledge: an immutable set of
-// unique tags the reader and the air interface both reference.
+// unique tags the reader and the air interface both reference. The tags
+// are a flat array of bare IDs; stored sensor payloads, when a population
+// has them, sit in a side table indexed like the tags.
 //
 // Three ID distributions cover the paper's scenarios:
 //   * uniform_random  — the paper's general case ("no assumption on the
@@ -27,8 +29,11 @@ class TagPopulation final {
  public:
   TagPopulation() = default;
 
-  /// Takes ownership of `tags`; throws ContractViolation on duplicate IDs.
-  explicit TagPopulation(std::vector<Tag> tags);
+  /// Takes ownership of `tags` and of their stored sensor payloads —
+  /// none, or one per tag in the same order; throws ContractViolation on
+  /// duplicate IDs.
+  explicit TagPopulation(std::vector<Tag> tags,
+                         std::vector<BitVec> payloads = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return tags_.size(); }
   [[nodiscard]] bool empty() const noexcept { return tags_.empty(); }
@@ -39,6 +44,21 @@ class TagPopulation final {
 
   [[nodiscard]] auto begin() const noexcept { return tags_.begin(); }
   [[nodiscard]] auto end() const noexcept { return tags_.end(); }
+
+  /// The stored sensor payloads, indexed like the tags; empty unless the
+  /// population was built with payloads.
+  [[nodiscard]] std::span<const BitVec> payloads() const noexcept {
+    return payloads_;
+  }
+
+  /// The `bits`-long reply tag `index` transmits when polled. If its stored
+  /// payload is at least `bits` long its prefix is used; otherwise the
+  /// reply is derived_payload(id, bits).
+  [[nodiscard]] BitVec reply_payload(std::size_t index,
+                                     std::size_t bits) const;
+
+  /// reply_payload for `tag`, which must be an element of this population.
+  [[nodiscard]] BitVec reply_payload(const Tag& tag, std::size_t bits) const;
 
   /// n tags with uniformly random unique 96-bit IDs.
   [[nodiscard]] static TagPopulation uniform_random(std::size_t n,
@@ -65,7 +85,7 @@ class TagPopulation final {
                                                       std::size_t prefix_bits,
                                                       Xoshiro256ss& id_rng);
 
-  /// Returns a copy whose tags carry `bits`-long random sensor payloads.
+  /// Returns a copy whose tags store `bits`-long random sensor payloads.
   [[nodiscard]] TagPopulation with_random_payloads(std::size_t bits,
                                                    Xoshiro256ss& id_rng) const;
 
@@ -76,10 +96,12 @@ class TagPopulation final {
   /// Takes ownership of `tags` without re-checking uniqueness: for the
   /// generators that dedup while drawing, and for copies of a validated
   /// population.
-  TagPopulation(std::vector<Tag> tags, UniqueIds) noexcept
-      : tags_(std::move(tags)) {}
+  TagPopulation(std::vector<Tag> tags, UniqueIds,
+                std::vector<BitVec> payloads = {}) noexcept
+      : tags_(std::move(tags)), payloads_(std::move(payloads)) {}
 
   std::vector<Tag> tags_;
+  std::vector<BitVec> payloads_;  ///< empty, or one per tag
 };
 
 }  // namespace rfid::tags

@@ -222,11 +222,43 @@ TEST(Verify, DetectsPayloadCorruption) {
   auto result = session.finish("x");
   result.records[0].payload = BitVec("0");
   // Flip the payload bit so it cannot match the derived value.
-  if (pop[0].reply_payload(1) == result.records[0].payload)
+  if (pop.reply_payload(0, 1) == result.records[0].payload)
     result.records[0].payload = BitVec("1");
   // Re-find the record for tag 0 (records are in poll order).
   const auto verify = sim::verify_complete_collection(pop, result);
   EXPECT_FALSE(verify.ok);
+}
+
+TEST(Verify, DetectsTamperedStoredPayload) {
+  Xoshiro256ss rng(3);
+  const auto pop = TagPopulation::sequential(6).with_random_payloads(8, rng);
+  SessionConfig config;
+  config.info_bits = 8;
+  Session session(pop, config);
+  for (const Tag& tag : pop) {
+    const Tag* responder = &tag;
+    (void)session.air().poll({&responder, 1}, &tag, 2);
+  }
+  const auto result = session.finish("x");
+  ASSERT_EQ(result.records.size(), pop.size());
+  for (std::size_t i = 0; i < pop.size(); ++i)
+    EXPECT_EQ(result.records[i].payload, pop.payloads()[i]);
+  EXPECT_TRUE(sim::verify_complete_collection(pop, result).ok);
+
+  auto tampered = result;
+  BitVec flipped;
+  for (std::size_t b = 0; b < 8; ++b)
+    flipped.push_back(tampered.records[4].payload.bit(b) != (b == 5));
+  tampered.records[4].payload = flipped;
+  const auto verify = sim::verify_complete_collection(pop, tampered);
+  EXPECT_FALSE(verify.ok);
+  EXPECT_NE(verify.message.find("payload mismatch"), std::string::npos);
+
+  // The ID-derived reply is not what a tag with stored data sends.
+  auto derived = result;
+  derived.records[4].payload = tags::derived_payload(pop[4].id(), 8);
+  ASSERT_FALSE(derived.records[4].payload == pop.payloads()[4]);
+  EXPECT_FALSE(sim::verify_complete_collection(pop, derived).ok);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/deployment.hpp"
 #include "core/multi_reader.hpp"
 #include "obs/stream.hpp"
+#include "sim/verify.hpp"
 
 namespace rfid::core {
 namespace {
@@ -47,6 +48,23 @@ TEST(MultiReader, CoversInventoryExactlyOnce) {
   EXPECT_TRUE(report.verified);
   EXPECT_EQ(report.collected, 3000u);
   EXPECT_EQ(report.per_reader.size(), 3u);
+}
+
+TEST(MultiReader, ZonesReplyWithStoredPayloads) {
+  Xoshiro256ss rng(12);
+  const auto pop =
+      tags::TagPopulation::uniform_random(600, rng).with_random_payloads(8, rng);
+  MultiReaderConfig config;
+  config.readers = 3;
+  config.session.info_bits = 8;
+  const auto report = run_multi_reader(pop, config);
+  ASSERT_TRUE(report.verified);
+  sim::RunResult merged;
+  for (const sim::RunResult& result : report.per_reader)
+    merged.records.insert(merged.records.end(), result.records.begin(),
+                          result.records.end());
+  const auto verify = sim::verify_complete_collection(pop, merged);
+  EXPECT_TRUE(verify.ok) << verify.message;
 }
 
 TEST(MultiReader, SingleReaderDegeneratesToPlainRun) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -11,16 +12,60 @@
 namespace rfid::tags {
 namespace {
 
-TEST(Tag, ReplyPayloadUsesStoredPrefix) {
-  Tag tag(TagId::from_hex("000000000000000000000001"), BitVec("10110"));
-  EXPECT_EQ(tag.reply_payload(3).to_string(), "101");
-  EXPECT_EQ(tag.reply_payload(5).to_string(), "10110");
+// A tag is its ID: the reader's tag table is a flat, trivially copyable
+// array, and stored payloads live in the population's side table.
+static_assert(sizeof(Tag) == sizeof(TagId));
+static_assert(std::is_trivially_copyable_v<Tag>);
+
+TEST(Population, ReplyPayloadUsesStoredPrefix) {
+  const TagPopulation pop({Tag(TagId::from_hex("000000000000000000000001"))},
+                          {BitVec("10110")});
+  EXPECT_EQ(pop.reply_payload(0, 3).to_string(), "101");
+  EXPECT_EQ(pop.reply_payload(0, 5).to_string(), "10110");
+  EXPECT_EQ(pop.reply_payload(pop[0], 3).to_string(), "101");
 }
 
-TEST(Tag, ReplyPayloadDerivedWhenStoredTooShort) {
+TEST(Population, ReplyPayloadDerivedWhenStoredTooShort) {
   const TagId id = TagId::from_hex("000000000000000000000002");
-  Tag tag(id, BitVec("1"));
-  EXPECT_EQ(tag.reply_payload(16), derived_payload(id, 16));
+  const TagPopulation pop({Tag(id)}, {BitVec("1")});
+  EXPECT_EQ(pop.reply_payload(0, 16), derived_payload(id, 16));
+}
+
+TEST(Population, ReplyPayloadDerivedWithoutPayloadTable) {
+  const TagPopulation pop = TagPopulation::sequential(4, 7);
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    EXPECT_EQ(pop.reply_payload(i, 24), derived_payload(pop[i].id(), 24));
+    EXPECT_EQ(pop.reply_payload(pop[i], 24), pop.reply_payload(i, 24));
+  }
+  // The same IDs in another population reply the same bits.
+  const TagPopulation copy(std::vector<Tag>(pop.begin(), pop.end()));
+  EXPECT_EQ(copy.reply_payload(3, 24), pop.reply_payload(3, 24));
+}
+
+TEST(Population, ReplyPayloadRejectsForeignTag) {
+  const TagPopulation pop = TagPopulation::sequential(2);
+  const TagPopulation other = TagPopulation::sequential(2);
+  EXPECT_THROW((void)pop.reply_payload(other[0], 8), ContractViolation);
+  EXPECT_THROW((void)pop.reply_payload(2, 8), ContractViolation);
+}
+
+TEST(Population, PayloadTableMustMatchTags) {
+  EXPECT_THROW(TagPopulation({Tag(TagId{})}, {BitVec("1"), BitVec("0")}),
+               ContractViolation);
+}
+
+TEST(Population, GeneratorsHaveNoPayloadTable) {
+  Xoshiro256ss rng(8);
+  EXPECT_TRUE(TagPopulation::uniform_random(64, rng).payloads().empty());
+  EXPECT_TRUE(
+      TagPopulation::uniform_random_sharded(64, 8, 4).payloads().empty());
+  EXPECT_TRUE(TagPopulation::sequential(64).payloads().empty());
+  EXPECT_TRUE(
+      TagPopulation::prefix_clustered(64, 4, 16, rng).payloads().empty());
+  EXPECT_TRUE(TagPopulation(std::vector<Tag>{Tag(TagId{})}).payloads().empty());
+  const auto with =
+      TagPopulation::sequential(64).with_random_payloads(8, rng);
+  EXPECT_EQ(with.payloads().size(), 64u);
 }
 
 TEST(Tag, DerivedPayloadDeterministicAndIdDependent) {
@@ -164,10 +209,24 @@ TEST(Population, WithRandomPayloadsAttachesCorrectLength) {
   const auto base = TagPopulation::uniform_random(50, rng);
   const auto with = base.with_random_payloads(16, rng);
   ASSERT_EQ(with.size(), 50u);
+  ASSERT_EQ(with.payloads().size(), 50u);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(with[i].id(), base[i].id());
-    EXPECT_EQ(with[i].stored_payload().size(), 16u);
+    EXPECT_EQ(with.payloads()[i].size(), 16u);
+    EXPECT_EQ(with.reply_payload(i, 16), with.payloads()[i]);
+    // One bit past the stored payload falls back to the derived reply.
+    EXPECT_EQ(with.reply_payload(i, 17), derived_payload(with[i].id(), 17));
   }
+}
+
+TEST(Population, WithRandomPayloadsDrawsTagByTag) {
+  // Each tag's payload bits are drawn consecutively, tags in order.
+  Xoshiro256ss rng(9), replay(9);
+  const auto base = TagPopulation::sequential(3);
+  const auto with = base.with_random_payloads(5, rng);
+  for (std::size_t i = 0; i < base.size(); ++i)
+    for (std::size_t b = 0; b < 5; ++b)
+      EXPECT_EQ(with.payloads()[i].bit(b), replay.bernoulli(0.5));
 }
 
 TEST(Population, PayloadBitsAreBalanced) {
@@ -175,8 +234,8 @@ TEST(Population, PayloadBitsAreBalanced) {
   const auto pop =
       TagPopulation::uniform_random(500, rng).with_random_payloads(32, rng);
   std::size_t ones = 0;
-  for (const Tag& tag : pop)
-    for (std::size_t b = 0; b < 32; ++b) ones += tag.stored_payload().bit(b);
+  for (const BitVec& payload : pop.payloads())
+    for (std::size_t b = 0; b < 32; ++b) ones += payload.bit(b);
   EXPECT_NEAR(double(ones) / (500.0 * 32.0), 0.5, 0.03);
 }
 

@@ -7,6 +7,8 @@
 // the bit-level substrate.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/env.hpp"
 #include "core/polling.hpp"
 #include "sim/verify.hpp"
@@ -24,8 +26,6 @@ struct RandomCase final {
   std::uint32_t padding = 0;
   std::uint64_t seed;
 };
-
-class RandomizedRuns : public ::testing::TestWithParam<RandomCase> {};
 
 sim::RunResult run_random(const RandomCase& c, std::size_t& n_out,
                           std::size_t& l_out,
@@ -48,31 +48,33 @@ sim::RunResult run_random(const RandomCase& c, std::size_t& n_out,
   return protocols::make_protocol(c.kind)->run(pop, config);
 }
 
-TEST_P(RandomizedRuns, ExactOnceCollection) {
+/// MIC, SIC and DFSA walk frame slots, so the polling family's accounting
+/// identity and waste-freeness do not apply to them.
+bool frame_slotted(ProtocolKind kind) {
+  return kind == ProtocolKind::kMic || kind == ProtocolKind::kSic ||
+         kind == ProtocolKind::kDfsa;
+}
+
+void exact_once_collection(const RandomCase& c) {
   std::size_t n = 0, l = 0;
   const tags::TagPopulation* pop = nullptr;
-  const auto result = run_random(GetParam(), n, l, &pop);
+  const auto result = run_random(c, n, l, &pop);
   EXPECT_EQ(result.metrics.polls, n);
   const auto verify = sim::verify_complete_collection(*pop, result);
   EXPECT_TRUE(verify.ok) << verify.message;
 }
 
-TEST_P(RandomizedRuns, AccountingIdentityForPollingFamily) {
-  // For waste-free polling protocols (not MIC/SIC/DFSA, which walk frame
-  // slots): total time = reader airtime of every transmitted bit + one
-  // (T1 + reply + T2) block per poll. CPP/CP skip the QueryRep prefix.
-  const auto kind = GetParam().kind;
-  const bool slotted = kind == ProtocolKind::kMic ||
-                       kind == ProtocolKind::kSic ||
-                       kind == ProtocolKind::kDfsa;
-  if (slotted) GTEST_SKIP() << "frame-slotted protocol";
+void accounting_identity_for_polling_family(const RandomCase& c) {
+  // For waste-free polling protocols: total time = reader airtime of every
+  // transmitted bit + one (T1 + reply + T2) block per poll. CPP/CP skip the
+  // QueryRep prefix.
   std::size_t n = 0, l = 0;
   const tags::TagPopulation* pop = nullptr;
-  const auto result = run_random(GetParam(), n, l, &pop);
+  const auto result = run_random(c, n, l, &pop);
   const phy::C1G2Timing timing;
-  const bool bare = kind == ProtocolKind::kCpp ||
-                    kind == ProtocolKind::kPrefixCpp ||
-                    kind == ProtocolKind::kCodedPolling;
+  const bool bare = c.kind == ProtocolKind::kCpp ||
+                    c.kind == ProtocolKind::kPrefixCpp ||
+                    c.kind == ProtocolKind::kCodedPolling;
   const double query_rep_bits =
       bare ? 0.0
            : double(result.metrics.polls) * timing.query_rep_bits;
@@ -85,26 +87,22 @@ TEST_P(RandomizedRuns, AccountingIdentityForPollingFamily) {
       (timing.t1_us + timing.tag_tx_us(l) + timing.t2_us);
   EXPECT_NEAR(result.metrics.time_us, reader_us + reply_us,
               1e-6 * result.metrics.time_us)
-      << protocols::to_string(kind);
+      << protocols::to_string(c.kind);
 }
 
-TEST_P(RandomizedRuns, PollingFamilyHasNoWaste) {
-  const auto kind = GetParam().kind;
-  if (kind == ProtocolKind::kMic || kind == ProtocolKind::kSic ||
-      kind == ProtocolKind::kDfsa)
-    GTEST_SKIP() << "frame-slotted protocol wastes by design";
+void polling_family_has_no_waste(const RandomCase& c) {
   std::size_t n = 0, l = 0;
   const tags::TagPopulation* pop = nullptr;
-  const auto result = run_random(GetParam(), n, l, &pop);
+  const auto result = run_random(c, n, l, &pop);
   EXPECT_EQ(result.metrics.slots_wasted, 0u);
   EXPECT_EQ(result.channel.collision_slots, 0u);
   EXPECT_EQ(result.channel.empty_slots, 0u);
 }
 
-TEST_P(RandomizedRuns, TraceIsMonotoneAndMatchesRounds) {
+void trace_is_monotone_and_matches_rounds(const RandomCase& c) {
   std::size_t n = 0, l = 0;
   const tags::TagPopulation* pop = nullptr;
-  const auto result = run_random(GetParam(), n, l, &pop, /*keep_trace=*/true);
+  const auto result = run_random(c, n, l, &pop, /*keep_trace=*/true);
   EXPECT_EQ(result.trace.size(), result.metrics.rounds);
   for (std::size_t i = 1; i < result.trace.size(); ++i) {
     EXPECT_GE(result.trace[i].time_us_so_far,
@@ -114,21 +112,58 @@ TEST_P(RandomizedRuns, TraceIsMonotoneAndMatchesRounds) {
   }
 }
 
-std::vector<RandomCase> random_cases() {
-  std::vector<RandomCase> cases;
-  std::uint64_t seed = 1;
-  for (const ProtocolKind kind : protocols::all_protocols())
-    for (int rep = 0; rep < 3; ++rep)
-      cases.push_back(RandomCase{kind, 1000 + 37 * seed++});
-  return cases;
-}
+/// One randomized run checked for one property.
+class RandomizedRuns : public ::testing::Test {
+ public:
+  using Property = void (*)(const RandomCase&);
+  RandomizedRuns(Property property, RandomCase c)
+      : property_(property), case_(c) {}
+  void TestBody() override { property_(case_); }
 
-INSTANTIATE_TEST_SUITE_P(
-    Fuzz, RandomizedRuns, ::testing::ValuesIn(random_cases()),
-    [](const auto& param_info) {
-      return std::string(protocols::to_string(param_info.param.kind)) + "_s" +
-             std::to_string(param_info.param.seed);
-    });
+ private:
+  Property property_;
+  RandomCase case_;
+};
+
+/// gtest would instantiate every TEST_P of a suite over one parameter
+/// list, so the runs are registered explicitly instead: each property runs
+/// only over the protocols it applies to, named as a value-parameterised
+/// suite `Fuzz/RandomizedRuns` names them (`<property>/<protocol>_s<seed>`).
+const bool kRandomizedRunsRegistered = [] {
+  struct Entry final {
+    const char* name;
+    RandomizedRuns::Property property;
+    bool polling_family_only;
+  };
+  static constexpr Entry kProperties[] = {
+      {"ExactOnceCollection", &exact_once_collection, false},
+      {"AccountingIdentityForPollingFamily",
+       &accounting_identity_for_polling_family, true},
+      {"PollingFamilyHasNoWaste", &polling_family_has_no_waste, true},
+      {"TraceIsMonotoneAndMatchesRounds",
+       &trace_is_monotone_and_matches_rounds, false},
+  };
+  std::uint64_t seed = 1;
+  for (const ProtocolKind kind : protocols::all_protocols()) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const RandomCase c{kind, 1000 + 37 * seed++};
+      const std::string param = std::string(protocols::to_string(kind)) +
+                                "_s" + std::to_string(c.seed);
+      const std::string value = ::testing::PrintToString(c);
+      for (const Entry& entry : kProperties) {
+        if (entry.polling_family_only && frame_slotted(kind)) continue;
+        const std::string name = std::string(entry.name) + "/" + param;
+        ::testing::RegisterTest(
+            "Fuzz/RandomizedRuns", name.c_str(), nullptr, value.c_str(),
+            __FILE__, __LINE__,
+            [property = entry.property, c]() -> RandomizedRuns* {
+              return new RandomizedRuns(property, c);
+            });
+      }
+    }
+  }
+  return true;
+}();
 
 TEST(Properties, BitVecAppendReadFuzz) {
   Xoshiro256ss rng(1);

@@ -2,11 +2,14 @@
 // escalation, crash handling, bounded exponential-backoff restarts,
 // permanent-down after the restart budget, and the ordered transition log.
 // The supervisor is pure tick-driven state — no clock, no RNG — so every
-// scenario here is replayed exactly.
+// scenario here is replayed exactly. Also the recovery coordinator's
+// per-tag retry ledger at fleet scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "fault/recovery.hpp"
 #include "fault/supervisor.hpp"
 
 namespace rfid {
@@ -190,6 +193,45 @@ TEST(Supervisor, TransitionLogIsOrderedAndDrainable) {
   EXPECT_TRUE(supervisor.transitions().empty());
   // State survives the drain; only the log is cleared.
   EXPECT_EQ(supervisor.health(1), ReaderHealth::kDown);
+}
+
+TEST(RetryLedger, CountsEveryTagIndependentlyAcrossGrowth) {
+  // Thousands of first-failing tags force the flat ledger through several
+  // rehashes; every tag keeps its own count and budget.
+  fault::RecoveryConfig config;
+  config.enabled = true;
+  config.retry_budget = 3;
+  fault::RecoveryCoordinator coordinator(config);
+  const auto id_of = [](std::uint32_t i) {
+    TagId id;
+    id.words = {i * 2654435761u, i, ~i};
+    return id;
+  };
+  constexpr std::uint32_t kTags = 5000;
+  // Tag i asks i % 6 times; the fourth and later asks are refused.
+  for (std::uint32_t pass = 0; pass < 6; ++pass)
+    for (std::uint32_t i = 0; i < kTags; ++i) {
+      if (pass < i % 6) {
+        EXPECT_EQ(coordinator.take_attempt(id_of(i)), pass < 3);
+      }
+    }
+  for (std::uint32_t i = 0; i < kTags; ++i) {
+    EXPECT_EQ(coordinator.attempts(id_of(i)), std::min(i % 6, 3u));
+    EXPECT_EQ(coordinator.exhausted(id_of(i)), i % 6 >= 3);
+  }
+  EXPECT_EQ(coordinator.attempts(id_of(kTags)), 0u);
+}
+
+TEST(RetryLedger, ZeroBudgetRecordsNothing) {
+  fault::RecoveryConfig config;
+  config.enabled = true;
+  config.retry_budget = 0;
+  fault::RecoveryCoordinator coordinator(config);
+  const TagId id{{1, 2, 3}};
+  EXPECT_FALSE(coordinator.take_attempt(id));
+  EXPECT_FALSE(coordinator.take_attempt(id));
+  EXPECT_EQ(coordinator.attempts(id), 0u);
+  EXPECT_TRUE(coordinator.exhausted(id));
 }
 
 }  // namespace
