@@ -12,7 +12,9 @@
 #include "common/crc.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "obs/stream.hpp"
+#include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/polling_tree.hpp"
 #include "protocols/tree_polling.hpp"
 #include "sim/checkpoint.hpp"
@@ -129,6 +131,79 @@ void BM_TppFullSession(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TppFullSession)->Arg(1000)->Arg(10000);
+
+/// The circle sequence of a 100k EHPP drain (F = 2^20, n* from Ehpp):
+/// every circle splits all n_rem unread tags' ID columns and the joiners
+/// leave, as if read. Both rows report `per_visit` (seconds per tag
+/// visit; the "n" suffix reads as ns). Arg 0 is the split itself
+/// (simd::split_circle); arg 1 is the hash alone (simd::hash_indices)
+/// over the same n_rem sequence, the floor a split can approach.
+void BM_SplitCircle(benchmark::State& state) {
+  constexpr std::size_t kTags = 100000;
+  constexpr std::uint64_t kModulus = std::uint64_t{1} << 20;
+  const bool hash_only = state.range(0) != 0;
+  const std::size_t subset = protocols::Ehpp().effective_subset_size();
+  const simd::Backend backend = simd::best_backend();
+  Xoshiro256ss rng(9);
+  std::vector<std::uint64_t> tag(kTags);
+  std::vector<std::uint64_t> hi(kTags);
+  std::vector<std::uint64_t> lo(kTags);
+  for (std::size_t i = 0; i < kTags; ++i) {
+    tag[i] = i;
+    hi[i] = rng();
+    lo[i] = rng() & 0xFFFFFFFFu;
+  }
+  std::vector<std::uint64_t> t(kTags);
+  std::vector<std::uint64_t> h(kTags);
+  std::vector<std::uint64_t> l(kTags);
+  std::vector<std::uint64_t> out(3 * kTags);
+  std::vector<std::uint32_t> index(kTags);
+  // One untimed split pass fixes the n_rem sequence both rows walk.
+  std::vector<std::size_t> sizes;
+  {
+    t = tag;
+    h = hi;
+    l = lo;
+    std::size_t n = kTags;
+    for (std::uint64_t seed = 1; n > subset; ++seed) {
+      sizes.push_back(n);
+      n -= simd::split_circle(seed, kModulus, kModulus * subset / n, t.data(),
+                              h.data(), l.data(), n, out.data(),
+                              out.data() + kTags, out.data() + 2 * kTags,
+                              backend);
+    }
+  }
+  std::size_t visits = 0;
+  for (const std::size_t n : sizes) visits += n;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t = tag;
+    h = hi;
+    l = lo;
+    state.ResumeTiming();
+    std::uint64_t seed = 1;
+    for (const std::size_t n : sizes) {
+      if (hash_only) {
+        simd::hash_indices(seed, h.data(), l.data(), index.data(), n, 20,
+                           backend);
+        benchmark::DoNotOptimize(index.data());
+      } else {
+        benchmark::DoNotOptimize(simd::split_circle(
+            seed, kModulus, kModulus * subset / n, t.data(), h.data(),
+            l.data(), n, out.data(), out.data() + kTags,
+            out.data() + 2 * kTags, backend));
+      }
+      ++seed;
+    }
+  }
+  state.counters["per_visit"] = benchmark::Counter(
+      static_cast<double>(visits),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["circles"] = static_cast<double>(sizes.size());
+  state.SetLabel(hash_only ? "hash only" : "split");
+}
+BENCHMARK(BM_SplitCircle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// A 64-reader, 8-channel fleet's telemetry, as the per-tick publish
 /// folds it: every reader with live counters and phase times.

@@ -281,45 +281,80 @@ __attribute__((target("avx512f,avx512dq"))) std::size_t split_circle_avx512(
     std::uint64_t* col_tag, std::uint64_t* col_hi, std::uint64_t* col_lo,
     std::size_t n, std::uint64_t* out_tag, std::uint64_t* out_hi,
     std::uint64_t* out_lo) noexcept {
-  // Eight lanes of H(r, id), one unsigned compare against f, and six
-  // compress stores: joiners to the output columns, the rest back over
-  // the input. As in compact_nonsingletons, kept + popcount(keep) <= i + 8,
-  // so the in-place stores never reach elements a later block still has
-  // to load.
+  // Eight lanes of H(r, id) and one unsigned compare against f per block.
+  // For a power-of-two F = 2^k (k >= 1) and f < F, the residue test
+  // `hash & (F - 1) < f` is `(hash << (64 - k)) < (f << (64 - k))`: the
+  // shift moves the k residue bits to the top and zeroes the rest on both
+  // sides. Ending the hash in a shift keeps g++ from fusing a mask AND
+  // into the last xor-shift (vpternlogd), which ran about 2x slower.
+  // F <= 1 (residue 0) and f >= F make membership constant: the join
+  // mask is fixed before the loop and no lane is hashed.
   const __m512i seeded = _mm512_set1_epi64(
       static_cast<long long>(mix64(seed ^ 0x2545f4914f6cdd1dULL)));
   const __m512i golden =
       _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  const __m512i mask = _mm512_set1_epi64(
-      static_cast<long long>(modulus == 0 ? 0 : modulus - 1));
-  const __m512i f = _mm512_set1_epi64(static_cast<long long>(threshold));
+  const bool constant = kMask && (modulus <= 1 || threshold >= modulus);
+  const __mmask8 constant_join =
+      modulus > 1 || threshold > 0 ? __mmask8{0xFF} : __mmask8{0};
+  const unsigned shift =
+      kMask && !constant
+          ? static_cast<unsigned>(std::countl_zero(modulus)) + 1u
+          : 0u;
+  const __m128i shift_count = _mm_cvtsi32_si128(static_cast<int>(shift));
+  const __m512i bound =
+      _mm512_set1_epi64(static_cast<long long>(threshold << shift));
   SplitCursors at;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m512i tag = _mm512_loadu_si512(col_tag + i);
     const __m512i hi = _mm512_loadu_si512(col_hi + i);
     const __m512i lo = _mm512_loadu_si512(col_lo + i);
-    __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
-    acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
-    __mmask8 join;
-    if constexpr (kMask) {
-      join = _mm512_cmplt_epu64_mask(_mm512_and_si512(acc, mask), f);
-    } else {
-      // No vector 64-bit divide: reduce the eight hashes one by one.
-      alignas(64) std::uint64_t hash[8];
-      _mm512_store_si512(hash, acc);
-      unsigned bits = 0;
-      for (unsigned lane = 0; lane < 8; ++lane)
-        bits |= (hash[lane] % modulus < threshold ? 1u : 0u) << lane;
-      join = static_cast<__mmask8>(bits);
+    __mmask8 join = constant_join;
+    if (!constant) {
+      __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
+      acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
+      if constexpr (kMask) {
+        join = _mm512_cmplt_epu64_mask(_mm512_sll_epi64(acc, shift_count),
+                                       bound);
+      } else {
+        // No vector 64-bit divide: reduce the eight hashes one by one.
+        alignas(64) std::uint64_t hash[8];
+        _mm512_store_si512(hash, acc);
+        unsigned bits = 0;
+        for (unsigned lane = 0; lane < 8; ++lane)
+          bits |= (hash[lane] % modulus < threshold ? 1u : 0u) << lane;
+        join = static_cast<__mmask8>(bits);
+      }
     }
+    if (join == 0) {
+      // A join-free block moves whole, and not at all while nothing has
+      // joined yet (kept == i).
+      if (at.kept != i) {
+        _mm512_storeu_si512(col_tag + at.kept, tag);
+        _mm512_storeu_si512(col_hi + at.kept, hi);
+        _mm512_storeu_si512(col_lo + at.kept, lo);
+      }
+      at.kept += 8;
+      continue;
+    }
+    // Compress in registers, then store all eight lanes. joined <= i and
+    // kept <= i, so each store stays inside [0, i + 8): on the input side
+    // it only reaches lanes already loaded, and the out columns have room
+    // for n elements. Lanes past the cursor hold zeros that a later block
+    // overwrites or the caller truncates.
     const __mmask8 keep = static_cast<__mmask8>(~join);
-    _mm512_mask_compressstoreu_epi64(out_tag + at.joined, join, tag);
-    _mm512_mask_compressstoreu_epi64(out_hi + at.joined, join, hi);
-    _mm512_mask_compressstoreu_epi64(out_lo + at.joined, join, lo);
-    _mm512_mask_compressstoreu_epi64(col_tag + at.kept, keep, tag);
-    _mm512_mask_compressstoreu_epi64(col_hi + at.kept, keep, hi);
-    _mm512_mask_compressstoreu_epi64(col_lo + at.kept, keep, lo);
+    _mm512_storeu_si512(out_tag + at.joined,
+                        _mm512_maskz_compress_epi64(join, tag));
+    _mm512_storeu_si512(out_hi + at.joined,
+                        _mm512_maskz_compress_epi64(join, hi));
+    _mm512_storeu_si512(out_lo + at.joined,
+                        _mm512_maskz_compress_epi64(join, lo));
+    _mm512_storeu_si512(col_tag + at.kept,
+                        _mm512_maskz_compress_epi64(keep, tag));
+    _mm512_storeu_si512(col_hi + at.kept,
+                        _mm512_maskz_compress_epi64(keep, hi));
+    _mm512_storeu_si512(col_lo + at.kept,
+                        _mm512_maskz_compress_epi64(keep, lo));
     const std::size_t joined = static_cast<std::size_t>(
         std::popcount(static_cast<unsigned>(join)));
     at.joined += joined;
@@ -513,10 +548,11 @@ std::size_t split_circle(std::uint64_t seed, std::uint64_t modulus,
                          std::size_t n, std::uint64_t* out_tag,
                          std::uint64_t* out_hi, std::uint64_t* out_lo,
                          Backend backend) {
-  // Like compact_nonsingletons: only AVX-512 has the compress store, every
+  // Like compact_nonsingletons: only AVX-512 has the compress, every
   // other backend runs the scalar reference (same split, same order). A
-  // power-of-two (or zero) modulus reduces with a mask; zero maps every
-  // hash to residue 0, as rfid::tag_index_mod does.
+  // power-of-two (or zero) modulus skips the divide: the scalar reference
+  // masks, the AVX-512 kernel shift-compares. Zero maps every hash to
+  // residue 0, as rfid::tag_index_mod does.
   const bool by_mask = modulus == 0 || std::has_single_bit(modulus);
 #if defined(RFID_SIMD_X86)
   if (backend == Backend::kAvx512 && best_backend() == Backend::kAvx512) {

@@ -91,14 +91,17 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
 /// copied, in order, to out_tag/out_hi/out_lo[0..joined); non-joiners are
 /// compacted in place, in order, to col_*[0..n - joined). Returns the
 /// joined count. The out columns need room for n elements and must not
-/// overlap the inputs. For a power-of-two modulus the residue is taken
-/// with `& (modulus - 1)` — exact, and the lanes never leave the vector
-/// unit; any other modulus is reduced with `%` per element. Membership of
-/// element i depends only on (seed, col_hi[i], col_lo[i], modulus,
-/// threshold), so every backend splits identically (AVX-512 hashes eight
-/// lanes and partitions with masked compress stores; the others run the
-/// scalar reference). The tag column is an opaque 64-bit payload, as in
-/// compact_nonsingletons.
+/// overlap the inputs; elements of either side past its count are
+/// unspecified. For a power-of-two modulus 2^k the AVX-512 kernel tests
+/// the residue exactly by shift-compare, (hash << (64 - k)) <
+/// (f << (64 - k)), without leaving the vector unit; a modulus of 0 or 1,
+/// or f >= F, makes membership constant and skips the hash. Any other
+/// modulus is reduced with `%` per element. Membership of element i
+/// depends only on (seed, col_hi[i], col_lo[i], modulus, threshold), so
+/// every backend splits identically (AVX-512 hashes eight lanes,
+/// compresses each side in registers and stores whole vectors; the others
+/// run the scalar reference). The tag column is an opaque 64-bit payload,
+/// as in compact_nonsingletons.
 std::size_t split_circle(std::uint64_t seed, std::uint64_t modulus,
                          std::uint64_t threshold, std::uint64_t* col_tag,
                          std::uint64_t* col_hi, std::uint64_t* col_lo,

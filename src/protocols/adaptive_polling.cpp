@@ -17,6 +17,7 @@ sim::RunResult AdaptivePolling::run(const tags::TagPopulation& population,
   sim::Session session(population, session_config);
 
   tags::TagSoA active = make_devices(session);
+  tags::TagSoA joined;  // EHPP-tier circle subsets, reused across circles
   fault::RecoveryCoordinator recovery(config.recovery);
   RoundEngine engine(session, recovery);
   TppRoundPolicy tpp_policy(config_.tpp);
@@ -32,8 +33,8 @@ sim::RunResult AdaptivePolling::run(const tags::TagPopulation& population,
         break;
       case analysis::PollingTier::kEhpp:
         session.check_round_budget();
-        round_ran = run_ehpp_circle(session, engine, active, config_.ehpp,
-                                    subset_target);
+        round_ran = run_ehpp_circle(session, engine, active, joined,
+                                    config_.ehpp, subset_target);
         break;
       case analysis::PollingTier::kHpp:
         round_ran = engine.run_round(active, hpp_policy);

@@ -15,8 +15,8 @@ std::size_t Ehpp::effective_subset_size() const {
 }
 
 bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
-                     tags::TagSoA& active, const Ehpp::Config& config,
-                     std::size_t subset_target) {
+                     tags::TagSoA& active, tags::TagSoA& joined,
+                     const Ehpp::Config& config, std::size_t subset_target) {
   HppRoundPolicy round_policy(HppRoundConfig{config.round_init_bits,
                                              /*count_init_in_w=*/true});
   if (active.size() <= subset_target) {
@@ -52,10 +52,10 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
 
   // Tag side: each awake tag decides membership from the decoded seed.
   // One batched pass over the SoA columns splits `active` into `joined`
-  // and the kept remainder, both in their original relative order. Every
-  // circle visits all n_rem unread tags, so a drain makes O(n²/n*) visits
-  // — the split, not the rounds, dominates EHPP's host time at scale.
-  tags::TagSoA joined;
+  // (its previous contents replaced, its capacity kept) and the kept
+  // remainder, both in their original relative order. Every circle visits
+  // all n_rem unread tags, so a drain makes O(n²/n*) visits — the split,
+  // not the rounds, dominates EHPP's host time at scale.
   active.split_circle(decoded->seed, decoded->modulus, decoded->threshold,
                       joined, engine.hash_backend());
 
@@ -72,6 +72,9 @@ sim::RunResult Ehpp::run(const tags::TagPopulation& population,
   RFID_ENSURES(subset_target >= 1);
 
   tags::TagSoA active = make_devices(session);
+  // Every circle's subset lands in the same columns: sized by the first
+  // circle, reused by the rest.
+  tags::TagSoA joined;
   // One coordinator (and hence one engine) spans every circle: a tag's
   // retry budget is a per-run quantity no matter which subset it happens
   // to land in.
@@ -84,7 +87,8 @@ sim::RunResult Ehpp::run(const tags::TagPopulation& population,
   fault::RecoveryCoordinator::InitLadder ladder(config.recovery.retry_budget);
   while (!active.empty()) {
     session.check_round_budget();
-    if (run_ehpp_circle(session, engine, active, config_, subset_target)) {
+    if (run_ehpp_circle(session, engine, active, joined, config_,
+                        subset_target)) {
       ladder.note_success();
       continue;
     }

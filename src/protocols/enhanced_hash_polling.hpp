@@ -62,9 +62,12 @@ inline Ehpp::Ehpp() : config_(Config()) {}
 /// (whose recovery coordinator spans the whole run: a tag's retry budget is
 /// a per-run quantity no matter which subset it lands in). Returns false
 /// when the framed circle command exhausted its retransmission budget — no
-/// tag learned <f, F, r> and the circle never formed.
+/// tag learned <f, F, r> and the circle never formed. `joined` is the
+/// caller's scratch for the circle's subset: its contents on entry are
+/// replaced, and one scratch reused across a run's circles keeps the
+/// split from allocating (and page-faulting) a fresh subset each circle.
 bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
-                     tags::TagSoA& active, const Ehpp::Config& config,
-                     std::size_t subset_target);
+                     tags::TagSoA& active, tags::TagSoA& joined,
+                     const Ehpp::Config& config, std::size_t subset_target);
 
 }  // namespace rfid::protocols

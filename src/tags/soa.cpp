@@ -73,9 +73,11 @@ void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
                           std::uint64_t threshold, TagSoA& joined,
                           simd::Backend backend) {
   RFID_EXPECTS(&joined != this);
-  // The kernel writes joiners by index, so the joined identity columns
-  // are sized for the worst case (every element joins) without a
-  // zero-fill, then truncated to the prefix the kernel wrote.
+  // The kernel writes joiners by index and may store whole vectors past
+  // the joined cursor, so the joined identity columns are grown to n
+  // (room for every element to join; no zero-fill, and no allocation
+  // once a reused `joined` has held a subset this large), then truncated
+  // to the prefix the kernel kept.
   const std::size_t n = size();
   joined.tag_.resize(n);
   joined.id_hi_.resize(n);

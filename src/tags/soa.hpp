@@ -91,9 +91,11 @@ class TagSoA final {
 
   /// EHPP's circle split: moves every element whose H(seed, id) mod
   /// `modulus` is below `threshold` into `joined` (its previous contents
-  /// replaced) and compacts the rest in place, both sides in their
-  /// original relative order. Runs through simd::split_circle; any backend
-  /// splits identically. Slots on both sides are left stale.
+  /// replaced, its capacity kept) and compacts the rest in place, both
+  /// sides in their original relative order. Runs through
+  /// simd::split_circle; any backend splits identically. Slots on both
+  /// sides are left stale. A `joined` reused across circles allocates
+  /// only when a circle's input outgrows every earlier one.
   void split_circle(std::uint64_t seed, std::uint64_t modulus,
                     std::uint64_t threshold, TagSoA& joined,
                     simd::Backend backend);
@@ -104,11 +106,11 @@ class TagSoA final {
  private:
   /// std::allocator whose value-less construct() default-initialises, so
   /// growing a column of trivial values with resize() leaves the new
-  /// elements unwritten instead of zero-filling them. split_circle sizes
-  /// its output for the worst case (every tag joins) each circle and the
-  /// kernel then writes exactly the [0, joined) prefix it keeps;
-  /// zero-filling the rest would cost as much memory traffic as the split
-  /// itself.
+  /// elements unwritten instead of zero-filling them. split_circle grows
+  /// its output to the input's size (room for every tag to join) and the
+  /// kernel then writes the [0, joined) prefix it keeps, plus at most a
+  /// vector's worth of lanes past it; zero-filling the rest would cost as
+  /// much memory traffic as the split itself.
   template <typename T>
   struct DefaultInitAllocator : std::allocator<T> {
     using std::allocator<T>::allocator;

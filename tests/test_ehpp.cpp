@@ -7,6 +7,7 @@
 #include "common/hash.hpp"
 #include "common/math_util.hpp"
 #include "fault/recovery.hpp"
+#include "obs/stream.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
@@ -181,6 +182,7 @@ TEST_P(EhppCircleSplit, EveryCircleMatchesTheReferenceLoop) {
   ehpp_config.selection_modulus = modulus;
   const std::size_t subset_target = Ehpp(ehpp_config).effective_subset_size();
 
+  tags::TagSoA circle_joined;  // reused across circles, as Ehpp::run does
   std::size_t circles = 0;
   while (active.size() > subset_target) {
     // On a clean, unframed channel the circle seed is the session's next
@@ -210,8 +212,8 @@ TEST_P(EhppCircleSplit, EveryCircleMatchesTheReferenceLoop) {
     // The protocol's own circle: the kept remainder in order, and exactly
     // the reference joiners polled (one poll each on a clean channel).
     const std::uint64_t polls_before = session.metrics().polls;
-    ASSERT_TRUE(run_ehpp_circle(session, engine, active, ehpp_config,
-                                subset_target));
+    ASSERT_TRUE(run_ehpp_circle(session, engine, active, circle_joined,
+                                ehpp_config, subset_target));
     ASSERT_EQ(active.size(), want.kept.size()) << "circle " << circles;
     for (std::size_t i = 0; i < active.size(); ++i)
       EXPECT_EQ(active.tag(i), want.kept[i]) << "circle " << circles;
@@ -225,6 +227,61 @@ TEST_P(EhppCircleSplit, EveryCircleMatchesTheReferenceLoop) {
 INSTANTIATE_TEST_SUITE_P(Moduli, EhppCircleSplit,
                          ::testing::Values(std::uint64_t{1} << 20,
                                            std::uint64_t{1000003}));
+
+TEST(EhppCircleScratch, StaleJoinedRunsTheSameCircleAsAFreshOne) {
+  // run_ehpp_circle replaces whatever the caller's `joined` scratch holds.
+  // Two identical sessions drain side by side: one hands every circle a
+  // fresh scratch, the other one scratch that, before each circle, still
+  // holds the previous circle's whole input (its joiners, already read,
+  // and more tags than the new circle's input). Every circle must leave
+  // the same remainder, in order, and the same metrics.
+  Xoshiro256ss rng(4242);
+  const auto pop = tags::TagPopulation::uniform_random(5000, rng);
+  sim::SessionConfig config;
+  config.seed = 77;
+  sim::Session fresh_session(pop, config);
+  sim::Session reused_session(pop, config);
+  tags::TagSoA fresh_active = make_devices(fresh_session);
+  tags::TagSoA reused_active = make_devices(reused_session);
+  fault::RecoveryCoordinator fresh_recovery(config.recovery);
+  fault::RecoveryCoordinator reused_recovery(config.recovery);
+  RoundEngine fresh_engine(fresh_session, fresh_recovery);
+  RoundEngine reused_engine(reused_session, reused_recovery);
+  const Ehpp::Config ehpp_config;
+  const std::uint64_t modulus = ehpp_config.selection_modulus;
+  const std::size_t subset_target = Ehpp(ehpp_config).effective_subset_size();
+
+  tags::TagSoA reused;
+  tags::TagSoA previous_input;
+  std::size_t circles = 0;
+  while (!fresh_active.empty()) {
+    if (circles > 0) {
+      // f = F: every tag of the previous input joins the stale scratch.
+      previous_input.split_circle(circles, modulus, modulus, reused,
+                                  reused_engine.hash_backend());
+      ASSERT_GT(reused.size(), reused_active.size()) << "circle " << circles;
+    }
+    previous_input = reused_active;
+    tags::TagSoA fresh;
+    ASSERT_TRUE(run_ehpp_circle(fresh_session, fresh_engine, fresh_active,
+                                fresh, ehpp_config, subset_target));
+    ASSERT_TRUE(run_ehpp_circle(reused_session, reused_engine, reused_active,
+                                reused, ehpp_config, subset_target));
+    ASSERT_EQ(reused_active.size(), fresh_active.size())
+        << "circle " << circles;
+    for (std::size_t i = 0; i < fresh_active.size(); ++i)
+      EXPECT_EQ(reused_active.tag(i), fresh_active.tag(i))
+          << "circle " << circles;
+    std::string fresh_json;
+    std::string reused_json;
+    obs::append_json(fresh_json, fresh_session.metrics());
+    obs::append_json(reused_json, reused_session.metrics());
+    ASSERT_EQ(reused_json, fresh_json) << "circle " << circles;
+    ++circles;
+  }
+  EXPECT_TRUE(reused_active.empty());
+  EXPECT_GE(circles, 10u);
+}
 
 }  // namespace
 }  // namespace rfid::protocols

@@ -121,18 +121,25 @@ TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
 
 TEST(SimdKernels, SplitCircleMatchesScalarAndKeepsOrder) {
   // EHPP's circle split, scalar reference vs best backend, for
-  // power-of-two F (mask reduction) and prime F (exact `%`), with the
-  // empty (f = 0), full (f = F) and fractional thresholds. The tiny
-  // moduli make residue == f common, pinning the strict `<`. Both sides
-  // must also match the membership rule evaluated straight off
-  // tag_hash_words.
+  // power-of-two F (shift-compare residue) and prime F (exact `%`), with
+  // empty (f = 0), full (f >= F) and fractional thresholds. The tiny
+  // moduli make residue == f common, pinning the strict `<`; F = 1 and
+  // f >= F take the constant join mask, F = 2 and 2^30 the widest and
+  // narrowest shifts, f = F - 1 the largest shifted bound. f = F/40 is
+  // the sparse case: at n = 1000 join-free blocks follow the first join,
+  // so the whole-block move runs with the kept cursor behind the read
+  // cursor. Both sides must also match the membership rule evaluated
+  // straight off tag_hash_words.
   Xoshiro256ss rng(13579);
+  const std::size_t w = simd::lanes();
   for (const std::size_t n : lane_tail_sizes()) {
     for (const std::uint64_t modulus :
          {std::uint64_t{1} << 20, std::uint64_t{1000003}, std::uint64_t{8},
-          std::uint64_t{7}}) {
+          std::uint64_t{7}, std::uint64_t{1}, std::uint64_t{2},
+          std::uint64_t{1} << 30}) {
       for (const std::uint64_t threshold :
-           {std::uint64_t{0}, modulus / 3, modulus}) {
+           {std::uint64_t{0}, modulus / 3, modulus / 40, modulus - 1,
+            modulus, modulus + 1, UINT64_MAX}) {
         const std::uint64_t seed = rng() & 0xFFFFFFFFFFFFull;
         std::vector<std::uint64_t> tag(n);
         std::vector<std::uint64_t> hi(n);
@@ -181,8 +188,22 @@ TEST(SimdKernels, SplitCircleMatchesScalarAndKeepsOrder) {
         if (threshold == 0) {
           EXPECT_TRUE(want_joined.empty()) << where;
         }
-        if (threshold == modulus) {
+        if (threshold >= modulus) {
           EXPECT_TRUE(want_kept.empty()) << where;
+        }
+        if (n == 1000 && modulus == std::uint64_t{1} << 20 &&
+            threshold == modulus / 40) {
+          // The sparse case really has a join-free block after the
+          // first join.
+          ASSERT_FALSE(want_joined.empty()) << where;
+          std::vector<bool> block_joins(n / w, false);
+          for (const std::uint64_t i : want_joined)
+            if (i / w < block_joins.size()) block_joins[i / w] = true;
+          const std::size_t first = want_joined.front() / w;
+          bool free_after_first = false;
+          for (std::size_t b = first + 1; b < block_joins.size(); ++b)
+            free_after_first = free_after_first || !block_joins[b];
+          EXPECT_TRUE(free_after_first) << where;
         }
       }
     }
